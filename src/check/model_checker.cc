@@ -151,7 +151,6 @@ class ThresholdStraddlePattern : public ActPattern
     }
 
   private:
-    // analyze: perf-exempt(group setup, runs once per T activations)
     void
     newGroup()
     {

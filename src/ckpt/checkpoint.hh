@@ -32,9 +32,9 @@
  * run first); a version-skew corpus file therefore carries a valid,
  * recomputed header checksum so it fails step 4 and nothing else.
  *
- * saveFile() writes atomically: tmp file, fsync, rename — the same
- * discipline as tools/perf_baseline.sh — so a crash mid-save leaves
- * either the previous artifact or none, never a torn one.
+ * saveFile() writes atomically: tmp file, fsync, rename — so a crash
+ * mid-save leaves either the previous artifact or none, never a torn
+ * one.
  */
 
 #ifndef CKPT_CHECKPOINT_HH

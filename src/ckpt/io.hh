@@ -40,10 +40,8 @@ namespace ckpt {
 class Writer
 {
   public:
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
     void u8(std::uint8_t v) { _buf.push_back(v); }
 
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
     void u32(std::uint32_t v)
     {
         for (int i = 0; i < 4; ++i)
@@ -51,7 +49,6 @@ class Writer
                 static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
     }
 
-    // analyze: perf-exempt(checkpoint serialization runs at save/restore boundaries, never per-ACT)
     void u64(std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i)

@@ -29,7 +29,6 @@ errorCodeName(ErrorCode code)
     return "?";
 }
 
-// analyze: perf-exempt(error formatting, runs only on failure)
 std::string
 strprintf(const char *fmt, ...)
 {
@@ -51,7 +50,6 @@ strprintf(const char *fmt, ...)
     return out;
 }
 
-// analyze: perf-exempt(error formatting, runs only on failure)
 std::string
 Error::describe() const
 {

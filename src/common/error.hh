@@ -200,7 +200,6 @@ class ErrorCollector
     }
 
     /** Record one violated rule. */
-    // analyze: perf-exempt(validation path, runs only on failure)
     void add(std::string violation)
     {
         _violations.push_back(std::move(violation));

@@ -7,7 +7,6 @@ namespace graphene {
 
 namespace {
 
-// analyze: perf-exempt(diagnostic output, not on the measured path)
 void
 vreport(const char *tag, const char *fmt, va_list args)
 {

@@ -74,11 +74,6 @@ class Manifest
      *  elsewhere don't collide in the result-discard analysis.) */
     Result<void> persist();
 
-    /** Number of recorded cells. (Not named `size` — hot code calls
-     *  `.size()` constantly and the name-resolved perf analysis
-     *  would mark this cold accessor hot.) */
-    std::size_t recordCount() const { return _records.size(); }
-
     /** `<dir>/manifest.gckp`. */
     static std::string pathFor(const std::string &dir);
 

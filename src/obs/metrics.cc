@@ -7,7 +7,6 @@
 namespace graphene {
 namespace obs {
 
-// analyze: perf-exempt(sweep setup, runs once per experiment)
 void
 MetricsRegistry::beginWindows(Cycle window_cycles)
 {
@@ -53,7 +52,6 @@ MetricsRegistry::sample(Cycle cycle, const std::string &name, double v,
     _group.histogram(name, num_buckets, max).sample(v);
 }
 
-// analyze: perf-exempt(window boundary, not per-activation)
 void
 MetricsRegistry::closeWindow()
 {
@@ -95,7 +93,6 @@ MetricsRegistry::windowSum(const std::string &name) const
     return sum;
 }
 
-// analyze: perf-exempt(checkpoint boundary, not per-activation)
 MetricsRegistry::Snapshot
 MetricsRegistry::snapshot() const
 {
@@ -122,7 +119,6 @@ MetricsRegistry::snapshot() const
     return snap;
 }
 
-// analyze: perf-exempt(checkpoint boundary, not per-activation)
 void
 MetricsRegistry::restore(const Snapshot &snap)
 {

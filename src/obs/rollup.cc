@@ -236,14 +236,12 @@ checkConservation(const SessionSeries &series, double tol)
     return issues.finish();
 }
 
-// analyze: perf-exempt(rollup merge runs once per session at drain, never per-ACT)
 void
 Rollup::add(const SessionSeries &series)
 {
     _tenants[series.tenant] = series;
 }
 
-// analyze: perf-exempt(reporting lookup, runs at drain/export time only)
 const SessionSeries *
 Rollup::find(const std::string &tenant) const
 {

@@ -79,7 +79,6 @@ makeValidated(const Config &config)
 
 } // namespace
 
-// analyze: perf-exempt(scheme construction, runs once per cell)
 Result<std::unique_ptr<ProtectionScheme>>
 makeScheme(const SchemeSpec &spec)
 {

@@ -469,15 +469,7 @@ ActEngineResult
 runActStream(const ActEngineConfig &config,
              workloads::ActPattern &pattern)
 {
-    // Drive the engine with step()/finish() directly rather than
-    // run(): the perf-debt analyzer resolves call edges by
-    // unqualified name, and a `run()` call from this hot root would
-    // pull every `run` definition (e.g. exp::Runner::run) into the
-    // hot region.
-    ActStreamEngine engine(config, pattern);
-    while (engine.step()) {
-    }
-    return engine.finish();
+    return ActStreamEngine(config, pattern).run();
 }
 
 } // namespace sim

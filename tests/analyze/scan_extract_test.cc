@@ -1,11 +1,8 @@
 /**
  * @file
- * Unit tests for the toolscan extraction layer feeding the
- * call-graph-aware perf-debt pass: comment/raw-string/#if-0
- * stripping, function-definition scanning (free, member, out-of-line
- * qualified), and call-site extraction with receiver classification.
- * These pin down the edge cases the scanner_edges fixture exercises
- * end-to-end.
+ * Unit tests for the toolscan extraction layer the analyze passes
+ * share: comment/raw-string/#if-0 stripping and function-definition
+ * scanning (free, member, out-of-line qualified).
  */
 
 #include <algorithm>
@@ -19,8 +16,6 @@
 
 namespace {
 
-using graphene::toolscan::CallSite;
-using graphene::toolscan::scanCalls;
 using graphene::toolscan::scanFunctions;
 using graphene::toolscan::ScannedFunction;
 using graphene::toolscan::stripLines;
@@ -183,65 +178,6 @@ TEST(ScanFunctions, ConstAndOverrideQualifiersAccepted)
     const auto defs = scanFunctions(text);
     EXPECT_NE(findFunction(defs, "Engine::count"), nullptr);
     EXPECT_NE(findFunction(defs, "Engine::run"), nullptr);
-}
-
-TEST(ScanCalls, ReceiversAndDispatchKind)
-{
-    const std::string text = stripped("void f()\n"
-                                      "{\n"
-                                      "    helper(1);\n"
-                                      "    obj.method(2);\n"
-                                      "    ptr->update(3);\n"
-                                      "    this->local(4);\n"
-                                      "}\n");
-    const auto defs = scanFunctions(text);
-    ASSERT_EQ(defs.size(), 1u);
-    const auto calls =
-        scanCalls(text, defs[0].bodyBegin, defs[0].bodyEnd);
-    ASSERT_EQ(calls.size(), 4u);
-
-    const auto byName = [&](const std::string &n) -> const CallSite * {
-        const auto it = std::find_if(
-            calls.begin(), calls.end(),
-            [&](const CallSite &c) { return c.name == n; });
-        return it == calls.end() ? nullptr : &*it;
-    };
-    const CallSite *helper = byName("helper");
-    ASSERT_NE(helper, nullptr);
-    EXPECT_FALSE(helper->arrow);
-    EXPECT_FALSE(helper->dot);
-
-    const CallSite *method = byName("method");
-    ASSERT_NE(method, nullptr);
-    EXPECT_TRUE(method->dot);
-    EXPECT_EQ(method->receiver, "obj");
-
-    const CallSite *update = byName("update");
-    ASSERT_NE(update, nullptr);
-    EXPECT_TRUE(update->arrow);
-    EXPECT_EQ(update->receiver, "ptr");
-
-    const CallSite *local = byName("local");
-    ASSERT_NE(local, nullptr);
-    EXPECT_TRUE(local->arrow);
-    EXPECT_EQ(local->receiver, "this");
-}
-
-TEST(ScanCalls, KeywordsAndOperatorsAreNotCalls)
-{
-    const std::string text =
-        stripped("void f()\n"
-                 "{\n"
-                 "    if (a) {\n"
-                 "    }\n"
-                 "    return g(sizeof(int));\n"
-                 "}\n");
-    const auto defs = scanFunctions(text);
-    ASSERT_EQ(defs.size(), 1u);
-    const auto calls =
-        scanCalls(text, defs[0].bodyBegin, defs[0].bodyEnd);
-    ASSERT_EQ(calls.size(), 1u);
-    EXPECT_EQ(calls[0].name, "g");
 }
 
 } // namespace

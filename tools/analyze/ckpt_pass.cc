@@ -214,7 +214,7 @@ runCkptPass(const Corpus &corpus, std::vector<Finding> &findings)
     std::map<std::string, CkptPair> pairs;
     for (const std::size_t fi : corpus.srcFiles) {
         const SourceFile &file = corpus.files[fi];
-        for (const FunctionDef &func : findFunctions(file)) {
+        for (const ScannedFunction &func : scanFunctions(file.joined)) {
             const std::size_t sep = func.name.rfind("::");
             if (sep == std::string::npos)
                 continue;

@@ -64,24 +64,10 @@ Corpus
 buildCorpus(const fs::path &root, const fs::path &layers_file,
             const fs::path &baseline_file)
 {
-    const fs::path dir = layers_file.parent_path();
-    return buildCorpus(root, layers_file, baseline_file,
-                       dir / "hotpaths.toml",
-                       dir / "perf_baseline.txt");
-}
-
-Corpus
-buildCorpus(const fs::path &root, const fs::path &layers_file,
-            const fs::path &baseline_file,
-            const fs::path &hotpaths_file,
-            const fs::path &perf_baseline_file)
-{
     Corpus corpus;
     corpus.root = root;
     corpus.layersFile = layers_file;
     corpus.baselineFile = baseline_file;
-    corpus.hotpathsFile = hotpaths_file;
-    corpus.perfBaselineFile = perf_baseline_file;
 
     std::vector<fs::path> files;
     for (const char *top :
@@ -110,26 +96,6 @@ buildCorpus(const fs::path &root, const fs::path &layers_file,
     for (const auto &p : files)
         loadFile(root, p, corpus);
     return corpus;
-}
-
-std::vector<FunctionDef>
-findFunctions(const SourceFile &file)
-{
-    // The token-level function scan lives in tools/common (shared
-    // with the call-edge extraction); this shim keeps the pass-facing
-    // FunctionDef shape.
-    std::vector<FunctionDef> out;
-    for (const toolscan::ScannedFunction &f :
-         toolscan::scanFunctions(file.joined)) {
-        FunctionDef def;
-        def.name = f.name;
-        def.params = f.params;
-        def.bodyBegin = f.bodyBegin;
-        def.bodyEnd = f.bodyEnd;
-        def.nameOffset = f.nameOffset;
-        out.push_back(std::move(def));
-    }
-    return out;
 }
 
 namespace {
@@ -309,7 +275,7 @@ allPasses()
 {
     static const std::vector<std::string> passes = {
         "layer-dag", "fingerprint-completeness", "result-discard",
-        "coverage-audit", "perf-debt", "ckpt-completeness"};
+        "coverage-audit", "ckpt-completeness"};
     return passes;
 }
 
@@ -328,8 +294,6 @@ runPasses(const Corpus &corpus, const std::set<std::string> &passes)
         runResultPass(corpus, findings);
     if (want("coverage-audit"))
         runCoveragePass(corpus, findings);
-    if (want("perf-debt"))
-        runPerfPass(corpus, findings);
     if (want("ckpt-completeness"))
         runCkptPass(corpus, findings);
     return findings;

@@ -50,7 +50,7 @@ runCoveragePass(const Corpus &corpus, std::vector<Finding> &findings)
         if (file.rel.rfind("src/core/", 0) != 0 &&
             file.rel.rfind("src/schemes/", 0) != 0)
             continue;
-        for (const FunctionDef &func : findFunctions(file)) {
+        for (const ScannedFunction &func : scanFunctions(file.joined)) {
             if (!entryPointNames().count(baseName(func.name)))
                 continue;
             const std::string body = file.joined.substr(

@@ -125,7 +125,7 @@ struct AuditContext
 {
     const Corpus *corpus;
     const SourceFile *file; ///< file holding the adder function
-    const FunctionDef *func;
+    const ScannedFunction *func;
     std::string body; ///< the function body text
     unsigned funcLine;
     unsigned bodyEndLine;
@@ -190,7 +190,7 @@ runFingerprintPass(const Corpus &corpus,
 
     for (const std::size_t fi : corpus.srcFiles) {
         const SourceFile &file = corpus.files[fi];
-        for (const FunctionDef &func : findFunctions(file)) {
+        for (const ScannedFunction &func : scanFunctions(file.joined)) {
             const std::string body = file.joined.substr(
                 func.bodyBegin, func.bodyEnd - func.bodyBegin);
             if (!std::regex_search(func.params, fp_param) &&

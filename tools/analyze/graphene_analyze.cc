@@ -13,11 +13,6 @@
  *                    layers.toml)
  *   --baseline FILE  coverage baseline (default ROOT/tools/analyze/
  *                    coverage_baseline.txt)
- *   --hotpaths FILE  hot-region roots (default ROOT/tools/analyze/
- *                    hotpaths.toml; missing file = no perf region)
- *   --perf-baseline FILE
- *                    perf-debt burn-down list (default ROOT/tools/
- *                    analyze/perf_baseline.txt)
  *   --pass NAME      run only the named pass (repeatable)
  *   --json PATH      also write findings in the shared
  *                    machine-readable shape
@@ -27,8 +22,7 @@
  *
  * Self-test layout: every direct subdirectory of DIR is a miniature
  * repository (its own src/, layers.toml, optional
- * coverage_baseline.txt / hotpaths.toml / perf_baseline.txt) plus an
- * EXPECT file listing the rule names
+ * coverage_baseline.txt) plus an EXPECT file listing the rule names
  * the tool must report there, one per line (missing or empty EXPECT
  * = the corpus must come back clean). Every error-severity finding's
  * rule must be expected — stray findings fail the fixture too.
@@ -101,9 +95,7 @@ selfTest(const fs::path &dir)
             readExpect(fixture / "EXPECT");
         const Corpus corpus =
             buildCorpus(fixture, fixture / "layers.toml",
-                        fixture / "coverage_baseline.txt",
-                        fixture / "hotpaths.toml",
-                        fixture / "perf_baseline.txt");
+                        fixture / "coverage_baseline.txt");
         const std::vector<Finding> findings =
             runPasses(corpus, {});
 
@@ -171,7 +163,7 @@ main(int argc, char **argv)
     }
 
     fs::path root = ".";
-    fs::path layers, baseline, hotpaths, perf_baseline;
+    fs::path layers, baseline;
     std::set<std::string> passes;
     std::string json_path;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -188,8 +180,6 @@ main(int argc, char **argv)
             std::cout
                 << "usage: graphene_analyze [--root DIR] "
                    "[--layers FILE] [--baseline FILE]\n"
-                   "                        [--hotpaths FILE] "
-                   "[--perf-baseline FILE]\n"
                    "                        [--pass NAME]... "
                    "[--json PATH]\n"
                    "       graphene_analyze --self-test "
@@ -205,10 +195,6 @@ main(int argc, char **argv)
             layers = value("file");
         } else if (a == "--baseline") {
             baseline = value("file");
-        } else if (a == "--hotpaths") {
-            hotpaths = value("file");
-        } else if (a == "--perf-baseline") {
-            perf_baseline = value("file");
         } else if (a == "--pass") {
             const std::string pass = value("pass name");
             const auto &all = allPasses();
@@ -229,13 +215,8 @@ main(int argc, char **argv)
         layers = root / "tools/analyze/layers.toml";
     if (baseline.empty())
         baseline = root / "tools/analyze/coverage_baseline.txt";
-    if (hotpaths.empty())
-        hotpaths = root / "tools/analyze/hotpaths.toml";
-    if (perf_baseline.empty())
-        perf_baseline = root / "tools/analyze/perf_baseline.txt";
 
-    const Corpus corpus =
-        buildCorpus(root, layers, baseline, hotpaths, perf_baseline);
+    const Corpus corpus = buildCorpus(root, layers, baseline);
     const std::vector<Finding> findings = runPasses(corpus, passes);
 
     for (const auto &f : findings)

@@ -79,7 +79,7 @@ std::set<unsigned>
 bodyLines(const SourceFile &file)
 {
     std::set<unsigned> lines;
-    for (const FunctionDef &func : findFunctions(file)) {
+    for (const ScannedFunction &func : scanFunctions(file.joined)) {
         const unsigned from = file.lineOf(func.bodyBegin);
         const unsigned to = file.lineOf(func.bodyEnd);
         for (unsigned i = from; i <= to; ++i)
@@ -93,8 +93,27 @@ bodyLines(const SourceFile &file)
 void
 runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
 {
-    const std::set<std::string> result_fns =
-        resultReturningNames(corpus);
+    // One regex pair per Result-returning name, built once per run:
+    // each pair is matched against every body line of the tree.
+    struct DiscardPatterns
+    {
+        std::string fn;
+        // (void) cast of a Result-returning call: the error is
+        // silently dropped.
+        std::regex voidCast;
+        // A Result-returning call as a bare statement: the whole line
+        // is `obj.fn(...);` or `ns::fn(...);` with nothing consuming
+        // the value.
+        std::regex bareStmt;
+    };
+    std::vector<DiscardPatterns> patterns;
+    for (const auto &fn : resultReturningNames(corpus))
+        patterns.push_back(
+            {fn,
+             std::regex(R"(\(\s*void\s*\)\s*(?:[\w:]+(?:\.|->))*)" +
+                        fn + R"(\s*\()"),
+             std::regex(R"(^\s*(?:[A-Za-z_][\w:]*(?:\.|->))*)" + fn +
+                        R"(\s*\(.*\)\s*;\s*$)")});
 
     for (const SourceFile &file : corpus.files) {
         const bool boundary = isBoundaryFile(file.rel);
@@ -146,21 +165,9 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
             if (!starts_statement)
                 continue;
 
-            for (const auto &fn : result_fns) {
-                // (void) cast of a Result-returning call: the error
-                // is silently dropped.
-                const std::regex void_cast(
-                    R"(\(\s*void\s*\)\s*(?:[\w:]+(?:\.|->))*)" + fn +
-                    R"(\s*\()");
-                // A Result-returning call as a bare statement: the
-                // whole line is `obj.fn(...);` or `ns::fn(...);`
-                // with nothing consuming the value.
-                const std::regex bare_stmt(
-                    R"(^\s*(?:[A-Za-z_][\w:]*(?:\.|->))*)" + fn +
-                    R"(\s*\(.*\)\s*;\s*$)");
-                const bool voided =
-                    std::regex_search(line, void_cast);
-                if (!voided && !std::regex_match(line, bare_stmt))
+            for (const DiscardPatterns &p : patterns) {
+                const bool voided = std::regex_search(line, p.voidCast);
+                if (!voided && !std::regex_match(line, p.bareStmt))
                     continue;
                 if (toolscan::allowMarker(file.raw, i, "analyze",
                                           "result-discard"))
@@ -170,7 +177,7 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
                      "result-discard",
                      std::string(voided ? "(void)-cast"
                                         : "bare-statement call") +
-                         " discards the Result of '" + fn +
+                         " discards the Result of '" + p.fn +
                          "': check .ok() and handle or propagate "
                          "the error (a dropped Result hides the "
                          "exact failure DESIGN.md §9 threads to "

@@ -220,8 +220,8 @@ namespace {
 bool
 insideFixtures(const fs::path &p)
 {
-    // Prefix match: fixtures/, fixtures_perf/, ... are all known-bad
-    // corpora.
+    // Prefix match: fixtures/ and any fixtures_*/ sibling are
+    // known-bad corpora.
     for (const auto &part : p)
         if (part.generic_string().rfind("fixtures", 0) == 0)
             return true;
@@ -376,69 +376,6 @@ scanFunctions(const std::string &text)
         def.bodyEnd = close;
         def.nameOffset = name_off;
         out.push_back(std::move(def));
-    }
-    return out;
-}
-
-std::vector<CallSite>
-scanCalls(const std::string &text, std::size_t begin,
-          std::size_t end)
-{
-    // An identifier (possibly qualified) directly followed by '('.
-    static const std::regex call(R"(([A-Za-z_][\w:]*)\s*\()");
-    static const std::set<std::string> keywords = {
-        "if",      "for",      "while",   "switch",   "catch",
-        "return",  "sizeof",   "alignof", "decltype", "throw",
-        "new",     "delete",   "assert",  "defined",  "co_await",
-        "co_return", "static_assert", "noexcept", "alignas"};
-
-    std::vector<CallSite> out;
-    if (end > text.size())
-        end = text.size();
-    if (begin >= end)
-        return out;
-    auto first = std::sregex_iterator(text.begin() + begin,
-                                      text.begin() + end, call);
-    for (auto it = first; it != std::sregex_iterator(); ++it) {
-        const std::smatch &m = *it;
-        const std::string name = m[1].str();
-        if (keywords.count(name) ||
-            keywords.count(unqualifiedName(name)))
-            continue;
-        const std::size_t off =
-            begin + static_cast<std::size_t>(m.position(1));
-        CallSite site;
-        site.name = name;
-        site.offset = off;
-
-        // Receiver: walk left past whitespace to `.` or `->`, then
-        // take the identifier before it.
-        std::size_t k = off;
-        while (k > begin && std::isspace(static_cast<unsigned char>(
-                                text[k - 1])))
-            --k;
-        std::size_t recv_end = 0;
-        if (k > begin && text[k - 1] == '.') {
-            site.dot = true;
-            recv_end = k - 1;
-        } else if (k > begin + 1 && text[k - 1] == '>' &&
-                   text[k - 2] == '-') {
-            site.arrow = true;
-            recv_end = k - 2;
-        }
-        if (site.dot || site.arrow) {
-            std::size_t r = recv_end;
-            while (r > begin) {
-                const char c = text[r - 1];
-                if (std::isalnum(static_cast<unsigned char>(c)) ||
-                    c == '_')
-                    --r;
-                else
-                    break;
-            }
-            site.receiver = text.substr(r, recv_end - r);
-        }
-        out.push_back(std::move(site));
     }
     return out;
 }
