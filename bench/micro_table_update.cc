@@ -69,9 +69,9 @@ BM_SchemeOnActivate(benchmark::State &state)
     schemes::SchemeSpec spec;
     spec.kind = static_cast<schemes::SchemeKind>(state.range(0));
     auto scheme = unwrapOrFatal(schemes::makeScheme(spec));
-    const Cycle rc = spec.timing.cRC();
-    const Cycle refi = spec.timing.cREFI();
-    const Cycle rfc = spec.timing.cRFC();
+    const Cycle rc = spec.timing.inCycles().cRC;
+    const Cycle refi = spec.timing.inCycles().cREFI;
+    const Cycle rfc = spec.timing.inCycles().cRFC;
     Rng rng(1);
     RefreshAction action;
     Cycle cycle{};

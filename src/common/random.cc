@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/divisor.hh"
+
 namespace graphene {
 
 namespace {
@@ -49,9 +51,12 @@ Rng::next64()
 std::uint64_t
 Rng::nextRange(std::uint64_t bound)
 {
-    // Lemire's nearly-divisionless bounded sampling; the slight modulo
-    // bias of the simple fallback is irrelevant for bounds << 2^64.
-    return next64() % bound;
+    // Plain modulo reduction. Its bias is below bound / 2^64, which is
+    // irrelevant for the bounds used here; a debiased method (e.g.
+    // Lemire's multiply-shift with rejection) would map raw draws to
+    // different values and so change every workload and artifact.
+    // Power-of-two bounds take the mask path of the same reduction.
+    return Divisor(bound).rem(next64());
 }
 
 double

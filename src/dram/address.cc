@@ -70,7 +70,7 @@ DecodedAddr::toString() const
 
 AddressMapper::AddressMapper(const Geometry &geometry,
                              MappingPolicy policy)
-    : _geometry(geometry), _policy(policy)
+    : _geometry(geometry), _policy(policy), _div(geometry, _lineBytes)
 {
     GRAPHENE_CHECK(geometry.channels > 0 &&
                        geometry.ranksPerChannel > 0 &&
@@ -98,50 +98,40 @@ AddressMapper::AddressMapper(const Geometry &geometry,
 DecodedAddr
 AddressMapper::decode(Addr addr) const
 {
-    const Geometry &g = _geometry;
-    std::uint64_t line = addr.value() / _lineBytes;
-    const std::uint64_t linesPerRow = g.bytesPerRow / _lineBytes;
+    std::uint64_t line = _div.line.quot(addr.value());
+    // Peel the lowest remaining field off the line index.
+    const auto take = [&line](const Divisor &field) {
+        const std::uint64_t v = field.rem(line);
+        line = field.quot(line);
+        return v;
+    };
 
     DecodedAddr d{};
-    d.column = 0; // line-in-row merged below
     std::uint64_t lineInRow = 0;
-
     switch (_policy) {
       case MappingPolicy::ChannelInterleaved:
-        d.channel = static_cast<unsigned>(line % g.channels);
-        line /= g.channels;
-        d.bank = static_cast<unsigned>(line % g.banksPerRank);
-        line /= g.banksPerRank;
-        d.rank = static_cast<unsigned>(line % g.ranksPerChannel);
-        line /= g.ranksPerChannel;
-        lineInRow = line % linesPerRow;
-        line /= linesPerRow;
-        d.row = Row{static_cast<Row::rep>(line % g.rowsPerBank)};
+        d.channel = static_cast<unsigned>(take(_div.channels));
+        d.bank = static_cast<unsigned>(take(_div.banksPerRank));
+        d.rank = static_cast<unsigned>(take(_div.ranksPerChannel));
+        lineInRow = take(_div.linesPerRow);
+        d.row = Row{static_cast<Row::rep>(_div.rowsPerBank.rem(line))};
         break;
       case MappingPolicy::BankInterleaved:
-        d.bank = static_cast<unsigned>(line % g.banksPerRank);
-        line /= g.banksPerRank;
-        d.rank = static_cast<unsigned>(line % g.ranksPerChannel);
-        line /= g.ranksPerChannel;
-        d.channel = static_cast<unsigned>(line % g.channels);
-        line /= g.channels;
-        lineInRow = line % linesPerRow;
-        line /= linesPerRow;
-        d.row = Row{static_cast<Row::rep>(line % g.rowsPerBank)};
+        d.bank = static_cast<unsigned>(take(_div.banksPerRank));
+        d.rank = static_cast<unsigned>(take(_div.ranksPerChannel));
+        d.channel = static_cast<unsigned>(take(_div.channels));
+        lineInRow = take(_div.linesPerRow);
+        d.row = Row{static_cast<Row::rep>(_div.rowsPerBank.rem(line))};
         break;
       case MappingPolicy::RowContiguous:
-        lineInRow = line % linesPerRow;
-        line /= linesPerRow;
-        d.row = Row{static_cast<Row::rep>(line % g.rowsPerBank)};
-        line /= g.rowsPerBank;
-        d.bank = static_cast<unsigned>(line % g.banksPerRank);
-        line /= g.banksPerRank;
-        d.rank = static_cast<unsigned>(line % g.ranksPerChannel);
-        line /= g.ranksPerChannel;
-        d.channel = static_cast<unsigned>(line % g.channels);
+        lineInRow = take(_div.linesPerRow);
+        d.row = Row{static_cast<Row::rep>(take(_div.rowsPerBank))};
+        d.bank = static_cast<unsigned>(take(_div.banksPerRank));
+        d.rank = static_cast<unsigned>(take(_div.ranksPerChannel));
+        d.channel = static_cast<unsigned>(_div.channels.rem(line));
         break;
     }
-    d.column = lineInRow * _lineBytes + addr.value() % _lineBytes;
+    d.column = lineInRow * _lineBytes + _div.line.rem(addr.value());
     return d;
 }
 

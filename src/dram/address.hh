@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/divisor.hh"
 #include "common/types.hh"
 
 namespace graphene {
@@ -85,6 +86,28 @@ struct DecodedAddr
 };
 
 /**
+ * A Geometry's per-field divisors, strength-reduced once (see
+ * Divisor). AddressMapper::decode() and the synthetic generators'
+ * placement divide by these on every request.
+ */
+struct GeometryDivisors
+{
+    GeometryDivisors(const Geometry &g, std::uint64_t line_bytes)
+        : line(line_bytes), linesPerRow(g.bytesPerRow / line_bytes),
+          channels(g.channels), ranksPerChannel(g.ranksPerChannel),
+          banksPerRank(g.banksPerRank), rowsPerBank(g.rowsPerBank)
+    {
+    }
+
+    Divisor line; ///< Bytes per cache line.
+    Divisor linesPerRow;
+    Divisor channels;
+    Divisor ranksPerChannel;
+    Divisor banksPerRank;
+    Divisor rowsPerBank;
+};
+
+/**
  * Maps physical byte addresses to DRAM coordinates under a
  * MappingPolicy (default: channel-interleaved, the usual choice for
  * throughput-oriented controllers and the one that makes per-bank ACT
@@ -104,11 +127,13 @@ class AddressMapper
 
     const Geometry &geometry() const { return _geometry; }
     MappingPolicy policy() const { return _policy; }
+    const GeometryDivisors &divisors() const { return _div; }
 
   private:
     Geometry _geometry;
     MappingPolicy _policy;
     std::uint64_t _lineBytes = 64;
+    GeometryDivisors _div;
 };
 
 } // namespace dram

@@ -25,7 +25,7 @@ commandName(Command cmd)
 }
 
 Bank::Bank(const TimingParams &timing, std::uint64_t num_rows)
-    : _timing(timing), _numRows(num_rows)
+    : _cycles(timing.inCycles()), _numRows(num_rows)
 {
     GRAPHENE_CHECK(num_rows > 0, "bank: need at least one row");
 }
@@ -62,18 +62,18 @@ Bank::issueAct(Cycle cycle, Row row)
                    "ACT to out-of-range row %u", row.value());
 
     _openRow = row;
-    _rwAllowedAt = cycle + _timing.cRCD();
-    _preAllowedAt = cycle + _timing.cRAS();
+    _rwAllowedAt = cycle + _cycles.cRCD;
+    _preAllowedAt = cycle + _cycles.cRAS;
     // tRC lower-bounds the ACT-to-ACT interval to the same bank; the
     // next ACT is additionally gated by the future precharge.
-    _actAllowedAt = cycle + _timing.cRC();
+    _actAllowedAt = cycle + _cycles.cRC;
     _lastActAt = cycle;
     _everActivated = true;
     ++_actCount;
     GRAPHENE_ENSURES(isOpen() && _openRow == row,
                      "ACT must leave its row open");
-    GRAPHENE_ENSURES(_actAllowedAt >= cycle + _timing.cRC() &&
-                         _preAllowedAt >= cycle + _timing.cRAS(),
+    GRAPHENE_ENSURES(_actAllowedAt >= cycle + _cycles.cRC &&
+                         _preAllowedAt >= cycle + _cycles.cRAS,
                      "ACT must arm the tRC and tRAS windows");
 }
 
@@ -84,9 +84,9 @@ Bank::issueReadWrite(Cycle cycle)
     GRAPHENE_CHECK(cycle >= _rwAllowedAt,
                    "RD/WR issued before tRCD elapsed");
     // Column accesses pipeline; the next is allowed a burst later.
-    _rwAllowedAt = cycle + _timing.cBL();
-    _preAllowedAt = std::max(_preAllowedAt, cycle + _timing.cBL());
-    const Cycle done = cycle + _timing.cCL() + _timing.cBL();
+    _rwAllowedAt = cycle + _cycles.cBL;
+    _preAllowedAt = std::max(_preAllowedAt, cycle + _cycles.cBL);
+    const Cycle done = cycle + _cycles.cCL + _cycles.cBL;
     GRAPHENE_ENSURES(done >= cycle,
                      "column access cannot finish in the past");
     return done;
@@ -99,9 +99,9 @@ Bank::issuePrecharge(Cycle cycle)
     GRAPHENE_CHECK(cycle >= _preAllowedAt,
                    "PRE issued before tRAS elapsed");
     _openRow = Row::invalid();
-    _actAllowedAt = std::max(_actAllowedAt, cycle + _timing.cRP());
+    _actAllowedAt = std::max(_actAllowedAt, cycle + _cycles.cRP);
     GRAPHENE_ENSURES(!isOpen() &&
-                         _actAllowedAt >= cycle + _timing.cRP(),
+                         _actAllowedAt >= cycle + _cycles.cRP,
                      "PRE must close the row and arm tRP");
 }
 

@@ -73,7 +73,7 @@ class Bank
     void restoreState(ckpt::Reader &r);
 
   private:
-    TimingParams _timing;      // analyze: ckpt-exempt(_timing) config, rebuilt by the constructor
+    CycleTiming _cycles;       // analyze: ckpt-exempt(_cycles) config, rebuilt by the constructor
     std::uint64_t _numRows;    // analyze: ckpt-exempt(_numRows) config, rebuilt by the constructor
     Row _openRow = Row::invalid();
     Cycle _actAllowedAt{};

@@ -9,11 +9,24 @@
  * charge, and a row whose accumulated disturbance reaches the Row
  * Hammer threshold suffers a recorded bit flip. A protection scheme is
  * sound iff no flips are recorded under any access pattern.
+ *
+ * Storage is sparse, then dense. A bank starts with an open-addressed
+ * table holding only the rows disturbed since their last refresh, and
+ * building 64 dense banks per system-sim cell used to cost more than
+ * simulating them. The table doubles while it stays within a quarter
+ * of the dense array's bytes; the insert that would take it past that
+ * (more than 8Ki live rows in a 64Ki-row bank) switches the bank, once
+ * and for good, to one cell per row. In Fig. 8's normal grid at spans
+ * of 0.02, 0.25 and 1 tREFW every bank stayed sparse (at most ~8.1k
+ * live rows); uniform attack streams switch. Both modes hold the same
+ * values and write the same checkpoint bytes, so the switch is
+ * invisible in every result.
  */
 
 #ifndef DRAM_FAULT_MODEL_HH
 #define DRAM_FAULT_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -111,6 +124,9 @@ class FaultModel
         return static_cast<unsigned>(_config.mu.size());
     }
 
+    /** True once the bank has switched to one cell per row. */
+    bool dense() const { return _dense; }
+
     /**
      * Serialize the charge state sparsely: only rows with non-default
      * cells (disturbed or flipped), in row order, plus the flip log
@@ -122,18 +138,50 @@ class FaultModel
     void restoreState(ckpt::Reader &r);
 
   private:
-    struct CellState
+    /**
+     * One row's charge state. Sparse slots and dense cells share this
+     * 16-byte layout, so "a quarter of the dense footprint" is a
+     * quarter of the row count in slots. In the sparse table key is
+     * row + 1 and 0 marks an empty slot; dense cells leave it 0.
+     */
+    struct Cell
     {
         double disturbance = 0.0;
+        std::uint32_t key = 0;
         bool flipped = false;
     };
 
+    /// Smallest sparse table; banks too small for it start dense.
+    static constexpr std::size_t kMinSlots = 16;
+
     void deposit(Cycle cycle, Row victim, double amount);
+
+    /** The cell of @p row, inserting an empty one if absent. */
+    Cell &cellFor(Row row);
+
+    /** First probe slot of @p row in the sparse table. */
+    std::size_t homeSlot(Row row) const;
+
+    /** The sparse slot holding @p row, or the empty slot ending its
+     *  probe run (where an insert would put it). */
+    std::size_t slotOf(Row row) const;
+
+    /** Double the sparse table, or switch to dense past the cap. */
+    void grow();
+
+    /** Empty, sparse storage (dense when the bank is tiny). */
+    void resetCells();
 
     FaultConfig _config;    // analyze: ckpt-exempt(_config) config, rebuilt by the constructor
     std::uint64_t _numRows; // analyze: ckpt-exempt(_numRows) config, rebuilt by the constructor
-    /// Dense per-row charge state (one entry per row of the bank).
-    std::vector<CellState> _cells;
+    /// Sparse: open-addressed table (power-of-two size, linear
+    /// probing, load <= 1/2). Dense: one cell per row. Checkpoints
+    /// carry the row-ordered live list, never the layout; restore
+    /// refills the cells through cellFor(), which re-derives the mode.
+    std::vector<Cell> _cells; // analyze: ckpt-exempt(_cells) saved as the live-row list, refilled by cellFor()
+    bool _dense = false;      // analyze: ckpt-exempt(_dense) storage layout, re-derived while restoring
+    /// Occupied sparse slots (unused once dense).
+    std::size_t _live = 0;    // analyze: ckpt-exempt(_live) storage layout, recounted while restoring
     std::vector<BitFlip> _flips;
     double _peak = 0.0;
     /// Logical -> physical and inverse permutations (remap only):

@@ -9,7 +9,7 @@ namespace dram {
 
 Rank::Rank(const TimingParams &timing, unsigned num_banks,
            std::uint64_t rows_per_bank, const FaultConfig &fault_config)
-    : _timing(timing), _rowsPerBank(rows_per_bank)
+    : _cycles(timing.inCycles()), _rowsPerBank(rows_per_bank)
 {
     GRAPHENE_CHECK(num_banks > 0, "rank: need at least one bank");
 
@@ -26,7 +26,7 @@ Rank::Rank(const TimingParams &timing, unsigned num_banks,
                    "rank: tREFW shorter than tREFI");
     _rowsPerRefresh =
         (rows_per_bank + _refreshesPerWindow - 1) / _refreshesPerWindow;
-    _nextRefreshAt = timing.cREFI();
+    _nextRefreshAt = _cycles.cREFI;
 }
 
 Bank &
@@ -62,26 +62,12 @@ Rank::faultModel(unsigned bank_idx) const
 }
 
 void
-Rank::addRefreshListener(RefreshListener listener)
-{
-    _listeners.push_back(std::move(listener));
-}
-
-void
-Rank::refreshRow(unsigned bank_idx, Row row)
-{
-    _faults[bank_idx].onRowRefresh(row);
-    for (const auto &listener : _listeners)
-        listener(bank_idx, row);
-}
-
-void
 Rank::issueRefresh(Cycle cycle)
 {
     GRAPHENE_CHECK(cycle >= _nextRefreshAt,
                    "REF issued before tREFI elapsed");
 
-    const Cycle done = cycle + _timing.cRFC();
+    const Cycle done = cycle + _cycles.cRFC;
     for (auto &b : _banks)
         b.block(cycle, done);
 
@@ -89,12 +75,12 @@ Rank::issueRefresh(Cycle cycle)
         const Row row{static_cast<Row::rep>(
             (_refreshPointer.value() + i) % _rowsPerBank)};
         for (unsigned b = 0; b < _banks.size(); ++b)
-            refreshRow(b, row);
+            _faults[b].onRowRefresh(row);
     }
     _refreshPointer = Row{static_cast<Row::rep>(
         (_refreshPointer.value() + _rowsPerRefresh) % _rowsPerBank)};
 
-    _nextRefreshAt += _timing.cREFI();
+    _nextRefreshAt += _cycles.cREFI;
     ++_refreshCount;
 }
 
@@ -105,7 +91,7 @@ Rank::earliestFawAct(Cycle now) const
         return now;
     // The oldest of the last four ACTs gates the next one.
     const Cycle oldest = _fawActs[_fawHead];
-    const Cycle allowed = oldest + _timing.cFAW();
+    const Cycle allowed = oldest + _cycles.cFAW;
     return allowed > now ? allowed : now;
 }
 
@@ -115,7 +101,7 @@ Rank::recordFawAct(Cycle cycle)
     // tFAW: the window holds at most four ACTs, so a fifth may only
     // be recorded once the oldest has aged out of the window.
     GRAPHENE_EXPECTS(_fawCount < 4 ||
-                         cycle >= _fawActs[_fawHead] + _timing.cFAW(),
+                         cycle >= _fawActs[_fawHead] + _cycles.cFAW,
                      "fifth ACT recorded inside a tFAW window");
     _fawActs[_fawHead] = cycle;
     _fawHead = (_fawHead + 1) % 4;
@@ -147,13 +133,13 @@ Rank::issueNrr(Cycle cycle, unsigned bank_idx, Row aggressor,
         _faults[bank_idx].physicalNeighbors(aggressor, distance);
     unsigned refreshed = 0;
     for (Row v : victims) {
-        refreshRow(bank_idx, v);
+        _faults[bank_idx].onRowRefresh(v);
         ++refreshed;
     }
 
     // Each victim row costs one internal row cycle; the bank is busy
     // for the duration (Section V-B overhead accounting).
-    const Cycle busy = _timing.cRC() * refreshed;
+    const Cycle busy = _cycles.cRC * refreshed;
     _banks[bank_idx].block(cycle, cycle + busy);
     _nrrRowCount += refreshed;
     return refreshed;
@@ -176,10 +162,10 @@ Rank::refreshVictimRowsDeferred(unsigned bank_idx,
     for (Row r : rows) {
         GRAPHENE_CHECK(r.value() < _rowsPerBank,
                        "victim row %u out of range", r.value());
-        refreshRow(bank_idx, r);
+        _faults[bank_idx].onRowRefresh(r);
     }
     _nrrRowCount += rows.size();
-    return _timing.cRC() * rows.size();
+    return _cycles.cRC * rows.size();
 }
 
 void

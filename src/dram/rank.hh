@@ -9,8 +9,6 @@
 #define DRAM_RANK_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,9 +35,6 @@ namespace dram {
 class Rank
 {
   public:
-    /** Callback fired whenever a row's charge is restored. */
-    using RefreshListener = std::function<void(unsigned bank, Row row)>;
-
     Rank(const TimingParams &timing, unsigned num_banks,
          std::uint64_t rows_per_bank, const FaultConfig &fault_config);
 
@@ -53,9 +48,6 @@ class Rank
 
     FaultModel &faultModel(unsigned bank_idx);
     const FaultModel &faultModel(unsigned bank_idx) const;
-
-    /** Register for row-refresh notifications (checker, schemes). */
-    void addRefreshListener(RefreshListener listener);
 
     /** Cycle at which the next auto-refresh command is due. */
     Cycle nextRefreshDue() const { return _nextRefreshAt; }
@@ -119,8 +111,7 @@ class Rank
     /**
      * Serialize the whole rank: every bank state machine, every
      * fault model, the refresh rotation, and the tFAW ring
-     * (DESIGN.md §14). Listeners are re-attached by the owner after
-     * restore — code, not data.
+     * (DESIGN.md §14).
      */
     void saveState(ckpt::Writer &w) const;
 
@@ -128,15 +119,10 @@ class Rank
     void restoreState(ckpt::Reader &r);
 
   private:
-    void refreshRow(unsigned bank_idx, Row row);
-
-    TimingParams _timing;        // analyze: ckpt-exempt(_timing) config, rebuilt by the constructor
+    CycleTiming _cycles;         // analyze: ckpt-exempt(_cycles) config, rebuilt by the constructor
     std::uint64_t _rowsPerBank;  // analyze: ckpt-exempt(_rowsPerBank) config, rebuilt by the constructor
     std::vector<Bank> _banks;
     std::vector<FaultModel> _faults;
-    /// Callbacks are code, not state: owners re-register after a
-    /// restore, exactly as after construction.
-    std::vector<RefreshListener> _listeners; // analyze: ckpt-exempt(_listeners) re-attached by the owner
 
     std::uint64_t _refreshesPerWindow; // analyze: ckpt-exempt(_refreshesPerWindow) derived from timing
     std::uint64_t _rowsPerRefresh;     // analyze: ckpt-exempt(_rowsPerRefresh) derived from timing

@@ -20,6 +20,14 @@ TimingParams::toCycles(Nanoseconds ns) const
         static_cast<std::uint64_t>(std::ceil(ns / tCK - 1e-9))};
 }
 
+CycleTiming
+TimingParams::inCycles() const
+{
+    return CycleTiming{toCycles(tREFI), toCycles(tRFC), toCycles(tRC),
+                       toCycles(tRCD),  toCycles(tRP),  toCycles(tCL),
+                       toCycles(tRAS),  toCycles(tBL),  toCycles(tFAW)};
+}
+
 ActCount
 TimingParams::maxActsInWindow(unsigned k) const
 {

@@ -15,6 +15,25 @@ namespace graphene {
 namespace dram {
 
 /**
+ * TimingParams converted to command-clock cycles, once. The bank,
+ * rank and controller state machines add these on every command, so
+ * they hold this struct instead of redoing the ns-to-cycle divide and
+ * ceiling per access. TimingParams::inCycles() builds it.
+ */
+struct CycleTiming
+{
+    Cycle cREFI; ///< Refresh interval.
+    Cycle cRFC;  ///< Refresh command time.
+    Cycle cRC;   ///< ACT-to-ACT interval.
+    Cycle cRCD;  ///< ACT-to-RD/WR delay.
+    Cycle cRP;   ///< Precharge time.
+    Cycle cCL;   ///< CAS latency.
+    Cycle cRAS;  ///< ACT-to-PRE minimum.
+    Cycle cBL;   ///< Burst on the bus.
+    Cycle cFAW;  ///< Four-activation window.
+};
+
+/**
  * The DRAM timing parameters the Graphene derivation and the
  * memory-system simulator depend on. All values in nanoseconds;
  * cycle-domain accessors use the command clock period tCK.
@@ -56,16 +75,13 @@ struct TimingParams
     /** Convert a duration in nanoseconds to whole cycles (ceiling). */
     Cycle toCycles(Nanoseconds ns) const;
 
-    Cycle cREFI() const { return toCycles(tREFI); }
-    Cycle cRFC() const { return toCycles(tRFC); }
-    Cycle cRC() const { return toCycles(tRC); }
-    Cycle cRCD() const { return toCycles(tRCD); }
-    Cycle cRP() const { return toCycles(tRP); }
-    Cycle cCL() const { return toCycles(tCL); }
-    Cycle cRAS() const { return toCycles(tRAS); }
-    Cycle cBL() const { return toCycles(tBL); }
+    /** Every parameter in cycles (see CycleTiming). */
+    CycleTiming inCycles() const;
+
+    /** tREFW in cycles (not in CycleTiming: nothing per-access reads it). */
     Cycle cREFW() const { return toCycles(tREFW); }
-    Cycle cFAW() const { return toCycles(tFAW); }
+    /** tRC in cycles; the same value as inCycles().cRC. */
+    Cycle cRC() const { return toCycles(tRC); }
 
     /**
      * Maximum number of ACTs a single bank can receive within one

@@ -8,7 +8,7 @@ namespace graphene {
 namespace mem {
 
 ChannelController::ChannelController(const ControllerConfig &config)
-    : _config(config),
+    : _config(config), _cycles(config.timing.inCycles()),
       _rank(config.timing, config.banksPerRank, config.rowsPerBank,
             config.fault),
       _consecutiveHits(config.banksPerRank, 0),
@@ -108,8 +108,7 @@ ChannelController::access(Cycle issue, unsigned bank, Row row,
     // Pay down one chunk of outstanding victim-refresh debt before
     // serving demand work (the interleaved drain of a large burst).
     if (_refreshDebt[bank] > Cycle{}) {
-        const Cycle chunk =
-            _config.timing.cRC() * _config.refreshChunkRows;
+        const Cycle chunk = _cycles.cRC * _config.refreshChunkRows;
         const Cycle pay = std::min(_refreshDebt[bank], chunk);
         const Cycle start = b.earliestAct(issue);
         b.block(start, start + pay);
@@ -172,7 +171,7 @@ ChannelController::access(Cycle issue, unsigned bank, Row row,
     Cycle rw_at = b.earliestReadWrite(issue);
     rw_at = std::max(rw_at, _busFreeAt);
     const Cycle done = b.issueReadWrite(rw_at);
-    _busFreeAt = rw_at + _config.timing.cBL();
+    _busFreeAt = rw_at + _cycles.cBL;
     result.completion = done;
     (void)is_write;
     return result;

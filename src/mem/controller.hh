@@ -140,6 +140,7 @@ class ChannelController
                      const RefreshAction &action);
 
     ControllerConfig _config;
+    dram::CycleTiming _cycles;
     dram::Rank _rank;
     std::vector<std::unique_ptr<ProtectionScheme>> _schemes;
     /// One probe per bank (all empty under GRAPHENE_OBS_OFF).

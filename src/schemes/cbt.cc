@@ -3,6 +3,9 @@
 #include "ckpt/io.hh"
 
 #include <algorithm>
+#include <iterator>
+#include <queue>
+#include <vector>
 
 #include "check/contracts.hh"
 #include "common/logging.hh"
@@ -56,21 +59,28 @@ Cbt::resetTree()
         return;
 
     // Pre-split until the counter budget is spent, always dividing
-    // the widest remaining range so coverage stays balanced, then
-    // give every counter an arbitrary phase below the trigger.
-    while (_ranges.size() < _config.numCounters) {
-        auto widest = _ranges.end();
-        for (auto it = _ranges.begin(); it != _ranges.end(); ++it) {
-            if (it->second.level >= _config.levels ||
-                it->second.length <= 1)
-                continue;
-            if (widest == _ranges.end() ||
-                it->second.length > widest->second.length)
-                widest = it;
-        }
-        if (widest == _ranges.end())
-            break;
-        split(widest);
+    // the widest remaining range (the lowest-starting one among equals)
+    // so coverage stays balanced, then give every counter an arbitrary
+    // phase below the trigger. The splittable ranges wait in a heap in
+    // that order, so the budget costs O(n log n), not a scan per split.
+    const auto narrower = [](const Node &a, const Node &b) {
+        return a.length != b.length ? a.length < b.length
+                                    : a.start > b.start;
+    };
+    std::priority_queue<Node, std::vector<Node>, decltype(narrower)>
+        splittable(narrower);
+    const auto offer = [&](const Node &n) {
+        if (n.level < _config.levels && n.length > 1)
+            splittable.push(n);
+    };
+    offer(_ranges.begin()->second);
+    while (_ranges.size() < _config.numCounters && !splittable.empty()) {
+        const Row start = splittable.top().start;
+        splittable.pop();
+        split(_ranges.find(start));
+        const auto left = _ranges.find(start);
+        offer(left->second);
+        offer(std::next(left)->second);
     }
     std::uint64_t state = _config.warmStartSeed;
     for (auto &kv : _ranges) {

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "common/divisor.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "common/zipf.hh"
@@ -90,7 +91,9 @@ class SyntheticGenerator
 
     std::uint64_t _seqRowRank = 0;
     std::uint64_t _seqLine = 0;
-    std::uint64_t _linesPerRow;
+    /// The working-set modulus, strength-reduced once; the geometry's
+    /// come from the mapper.
+    Divisor _workingSetRows;
 };
 
 } // namespace workloads

@@ -37,16 +37,17 @@ TEST_F(BankTest, ActOpensRow)
 TEST_F(BankTest, ReadWaitsForRcd)
 {
     bank.issueAct(Cycle{0}, Row{42});
-    EXPECT_EQ(bank.earliestReadWrite(Cycle{0}), timing.cRCD());
-    const Cycle done = bank.issueReadWrite(timing.cRCD());
-    EXPECT_EQ(done, timing.cRCD() + timing.cCL() + timing.cBL());
+    const CycleTiming c = timing.inCycles();
+    EXPECT_EQ(bank.earliestReadWrite(Cycle{0}), c.cRCD);
+    const Cycle done = bank.issueReadWrite(c.cRCD);
+    EXPECT_EQ(done, c.cRCD + c.cCL + c.cBL);
 }
 
 TEST_F(BankTest, PrechargeWaitsForRas)
 {
     bank.issueAct(Cycle{0}, Row{42});
-    EXPECT_EQ(bank.earliestPrecharge(Cycle{0}), timing.cRAS());
-    bank.issuePrecharge(timing.cRAS());
+    EXPECT_EQ(bank.earliestPrecharge(Cycle{0}), timing.inCycles().cRAS);
+    bank.issuePrecharge(timing.inCycles().cRAS);
     EXPECT_FALSE(bank.isOpen());
 }
 
@@ -58,7 +59,7 @@ TEST_F(BankTest, ActToActRespectsTrc)
     // numbers tRC (54 cyc) > tRAS + tRP (39 + 16 = 55?) — check via
     // the bank's own bound rather than assuming.
     const Cycle next = bank.earliestAct(Cycle{0});
-    EXPECT_GE(next, timing.cRC());
+    EXPECT_GE(next, timing.inCycles().cRC);
     bank.issueAct(next, Row{2});
     EXPECT_EQ(bank.openRow(), Row{2});
 }
@@ -73,7 +74,7 @@ TEST_F(BankTest, MaxActRateIsBoundedByTrc)
         bank.issueAct(now, Row{static_cast<Row::rep>(i)});
         bank.issuePrecharge(bank.earliestPrecharge(now));
     }
-    EXPECT_GE(now, timing.cRC() * 999);
+    EXPECT_GE(now, timing.inCycles().cRC * 999);
 }
 
 TEST_F(BankTest, EarlyActPanics)
@@ -86,7 +87,7 @@ TEST_F(BankTest, EarlyActPanics)
 TEST_F(BankTest, ActToOpenBankPanics)
 {
     bank.issueAct(Cycle{0}, Row{1});
-    EXPECT_DEATH(bank.issueAct(timing.cRC(), Row{2}), "open");
+    EXPECT_DEATH(bank.issueAct(timing.inCycles().cRC, Row{2}), "open");
 }
 
 TEST_F(BankTest, OutOfRangeRowPanics)
@@ -114,7 +115,7 @@ TEST_F(BankTest, ConsecutiveReadsPipelinePerBurst)
     Cycle t = bank.earliestReadWrite(Cycle{0});
     bank.issueReadWrite(t);
     const Cycle t2 = bank.earliestReadWrite(t);
-    EXPECT_EQ(t2, t + timing.cBL());
+    EXPECT_EQ(t2, t + timing.inCycles().cBL);
 }
 
 TEST(CommandNames, AllNamed)

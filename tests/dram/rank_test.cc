@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the rank: auto-refresh rotation, NRR expansion, and
- * refresh listeners.
+ * victim-row refresh. Refreshes are observed through the fault model:
+ * charge every row of a bank, then see which rows lost it.
  */
 
 #include <gtest/gtest.h>
@@ -22,24 +23,41 @@ defaultFault()
     return c;
 }
 
+/** Deposit disturbance on every row of @p bank (each has a neighbour). */
+void
+chargeEveryRow(Rank &rank, unsigned bank)
+{
+    FaultModel &f = rank.faultModel(bank);
+    for (Row r{}; r.value() < f.numRows(); ++r)
+        f.onActivate(Cycle{0}, r);
+}
+
+/** The rows of @p bank whose charge a refresh has restored. */
+std::set<Row>
+refreshedRows(const Rank &rank, unsigned bank)
+{
+    std::set<Row> rows;
+    const FaultModel &f = rank.faultModel(bank);
+    for (Row r{}; r.value() < f.numRows(); ++r)
+        if (f.disturbance(r) == 0.0)
+            rows.insert(r);
+    return rows;
+}
+
 TEST(Rank, RefreshRotationCoversEveryRowWithinWindow)
 {
     TimingParams t = TimingParams::ddr4_2400();
     const std::uint64_t rows = 65536;
     Rank rank(t, 2, rows, defaultFault());
-
-    std::set<Row> refreshed;
-    rank.addRefreshListener([&refreshed](unsigned bank, Row row) {
-        if (bank == 0)
-            refreshed.insert(row);
-    });
+    chargeEveryRow(rank, 0);
+    ASSERT_TRUE(refreshedRows(rank, 0).empty());
 
     const std::uint64_t refs_per_window =
         static_cast<std::uint64_t>(t.tREFW / t.tREFI);
     for (std::uint64_t i = 0; i < refs_per_window; ++i)
         rank.issueRefresh(rank.nextRefreshDue());
 
-    EXPECT_EQ(refreshed.size(), rows);
+    EXPECT_EQ(refreshedRows(rank, 0).size(), rows);
     EXPECT_EQ(rank.refreshCount(), refs_per_window);
 }
 
@@ -49,8 +67,8 @@ TEST(Rank, RefreshBlocksBanksForTrfc)
     Rank rank(t, 2, 1024, defaultFault());
     const Cycle due = rank.nextRefreshDue();
     rank.issueRefresh(due);
-    EXPECT_GE(rank.bank(0).earliestAct(due), due + t.cRFC());
-    EXPECT_GE(rank.bank(1).earliestAct(due), due + t.cRFC());
+    EXPECT_GE(rank.bank(0).earliestAct(due), due + t.inCycles().cRFC);
+    EXPECT_GE(rank.bank(1).earliestAct(due), due + t.inCycles().cRFC);
 }
 
 TEST(Rank, EarlyRefreshPanics)
@@ -64,13 +82,11 @@ TEST(Rank, NrrRefreshesVictimsAtDistance)
 {
     TimingParams t = TimingParams::ddr4_2400();
     Rank rank(t, 1, 1024, defaultFault());
-    std::set<Row> seen;
-    rank.addRefreshListener(
-        [&seen](unsigned, Row row) { seen.insert(row); });
+    chargeEveryRow(rank, 0);
 
     const unsigned count = rank.issueNrr(Cycle{100}, 0, Row{500}, 2);
     EXPECT_EQ(count, 4u);
-    EXPECT_EQ(seen,
+    EXPECT_EQ(refreshedRows(rank, 0),
               (std::set<Row>{Row{498}, Row{499}, Row{501},
                              Row{502}}));
     EXPECT_EQ(rank.nrrRowCount(), 4u);
@@ -90,20 +106,19 @@ TEST(Rank, NrrBlocksBankPerRow)
     Rank rank(t, 1, 1024, defaultFault());
     rank.issueNrr(Cycle{1000}, 0, Row{500}, 1);
     EXPECT_GE(rank.bank(0).earliestAct(Cycle{1000}),
-              Cycle{1000} + t.cRC() * 2);
+              Cycle{1000} + t.inCycles().cRC * 2);
 }
 
 TEST(Rank, VictimRowListRefresh)
 {
     TimingParams t = TimingParams::ddr4_2400();
     Rank rank(t, 1, 1024, defaultFault());
-    std::set<Row> seen;
-    rank.addRefreshListener(
-        [&seen](unsigned, Row row) { seen.insert(row); });
+    chargeEveryRow(rank, 0);
     rank.refreshVictimRows(Cycle{0}, 0, {Row{10}, Row{20}, Row{30}});
-    EXPECT_EQ(seen, (std::set<Row>{Row{10}, Row{20}, Row{30}}));
+    EXPECT_EQ(refreshedRows(rank, 0),
+              (std::set<Row>{Row{10}, Row{20}, Row{30}}));
     EXPECT_EQ(rank.nrrRowCount(), 3u);
-    EXPECT_GE(rank.bank(0).earliestAct(Cycle{0}), t.cRC() * 3);
+    EXPECT_GE(rank.bank(0).earliestAct(Cycle{0}), t.inCycles().cRC * 3);
 }
 
 TEST(Rank, RefreshClearsFaultDisturbance)
@@ -130,14 +145,14 @@ TEST(Rank, FawAllowsFourFastActs)
         rank.recordFawAct(Cycle{static_cast<std::uint64_t>(i)});
     }
     // The fifth ACT waits until the first leaves the window.
-    EXPECT_EQ(rank.earliestFawAct(Cycle{4}), t.cFAW());
+    EXPECT_EQ(rank.earliestFawAct(Cycle{4}), t.inCycles().cFAW);
 }
 
 TEST(Rank, FawWindowSlides)
 {
     TimingParams t = TimingParams::ddr4_2400();
     Rank rank(t, 8, 1024, defaultFault());
-    const Cycle faw = t.cFAW();
+    const Cycle faw = t.inCycles().cFAW;
     rank.recordFawAct(Cycle{0});
     rank.recordFawAct(Cycle{10});
     rank.recordFawAct(Cycle{20});

@@ -77,7 +77,7 @@ TEST(Controller, RefreshCadenceMatchesTrefi)
 {
     ControllerConfig config = baseConfig();
     ChannelController ctrl(config);
-    const Cycle span = config.timing.cREFI() * 10 + Cycle{5};
+    const Cycle span = config.timing.inCycles().cREFI * 10 + Cycle{5};
     ctrl.catchUpRefresh(span);
     EXPECT_EQ(ctrl.rank().refreshCount(), 10u);
 }
@@ -135,7 +135,7 @@ TEST(Controller, VictimRefreshDelaysSubsequentAccesses)
         t = r.completion;
     }
     // At least one access was stalled behind a 2-row NRR (2 x tRC).
-    EXPECT_GE(max_gap, config.timing.cRC() * 2);
+    EXPECT_GE(max_gap, config.timing.inCycles().cRC * 2);
 }
 
 TEST(Controller, RefreshDebtConservesBusyTime)
@@ -185,10 +185,8 @@ TEST(Controller, DebtDoesNotLeakAcrossBanks)
     // Bank 1 is untouched: its first access completes with cold-start
     // latency, not burdened by bank 0's refresh debt.
     const ServiceResult r = ctrl.access(t, 1, Row{100}, false);
-    EXPECT_LE(r.completion - t,
-              config.timing.cRC() + config.timing.cRCD() +
-                  config.timing.cCL() + config.timing.cBL() +
-                  config.timing.cRFC());
+    const dram::CycleTiming c = config.timing.inCycles();
+    EXPECT_LE(r.completion - t, c.cRC + c.cRCD + c.cCL + c.cBL + c.cRFC);
 }
 
 TEST(Controller, FawCapsMultiBankActRate)
@@ -204,11 +202,8 @@ TEST(Controller, FawCapsMultiBankActRate)
             ctrl.access(Cycle{0}, b, Row{100}, false);
         last_completion = std::max(last_completion, r.completion);
     }
-    const Cycle data_path = config.timing.cRCD() +
-                            config.timing.cCL() +
-                            config.timing.cBL();
-    EXPECT_GE(last_completion,
-              config.timing.cFAW() * 3 + data_path);
+    const dram::CycleTiming c = config.timing.inCycles();
+    EXPECT_GE(last_completion, c.cFAW * 3 + c.cRCD + c.cCL + c.cBL);
 }
 
 TEST(Controller, RowHitRateTracksAccessPattern)

@@ -8,7 +8,10 @@
 
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
+#include "ckpt/io.hh"
 #include "common/random.hh"
 #include "schemes/cbt.hh"
 
@@ -193,6 +196,85 @@ TEST(Cbt, WarmStartUsesFullBudgetWithBoundedPhases)
     cbt.onActivate(Cycle{0}, Row{100}, action);
     EXPECT_LE(cbt.lastBurstRows(),
               c.rowsPerBank / (1u << 3) + 2);
+}
+
+/**
+ * The warm-start pre-split as a linear scan per split: always divide
+ * the widest splittable range, the first in row order among equals.
+ * The differential reference for Cbt's heap-ordered pre-split. Yields
+ * (start, length, level) per range in row order.
+ */
+std::vector<std::tuple<std::uint32_t, std::uint64_t, unsigned>>
+referenceWarmTree(const CbtConfig &c)
+{
+    struct Range
+    {
+        std::uint64_t length;
+        unsigned level;
+    };
+    std::map<std::uint32_t, Range> ranges{{0, {c.rowsPerBank, 0}}};
+    while (ranges.size() < c.numCounters) {
+        auto widest = ranges.end();
+        for (auto it = ranges.begin(); it != ranges.end(); ++it) {
+            if (it->second.level >= c.levels || it->second.length <= 1)
+                continue;
+            if (widest == ranges.end() ||
+                it->second.length > widest->second.length)
+                widest = it;
+        }
+        if (widest == ranges.end())
+            break;
+        const auto [start, parent] = *widest;
+        const std::uint64_t half = parent.length / 2;
+        ranges.erase(widest);
+        ranges.emplace(start, Range{half, parent.level + 1});
+        ranges.emplace(start + static_cast<std::uint32_t>(half),
+                       Range{parent.length - half, parent.level + 1});
+    }
+    std::vector<std::tuple<std::uint32_t, std::uint64_t, unsigned>> out;
+    for (const auto &[start, r] : ranges)
+        out.emplace_back(start, r.length, r.level);
+    return out;
+}
+
+TEST(Cbt, WarmStartTreeMatchesWidestFirstScan)
+{
+    for (const std::uint64_t rows : {65536ULL, 1000ULL, 7ULL}) {
+        for (const unsigned counters : {2u, 37u, 128u, 1000u}) {
+            for (const unsigned levels : {3u, 10u}) {
+                CbtConfig c;
+                c.rowsPerBank = rows;
+                c.numCounters = counters;
+                c.levels = levels;
+                c.warmStart = true;
+                const auto expect = referenceWarmTree(c);
+
+                ckpt::Writer w;
+                Cbt(c).saveState(w);
+                ckpt::Reader r(w.data());
+                r.u64(); // ProtectionScheme's victim-refresh count
+                ASSERT_EQ(r.u64(), expect.size());
+                std::uint64_t state = c.warmStartSeed;
+                for (const auto &[start, length, level] : expect) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << rows << " rows, " << counters
+                                 << " counters, " << levels
+                                 << " levels, range at " << start);
+                    EXPECT_EQ(r.u32(), start);
+                    EXPECT_EQ(r.u32(), start);
+                    EXPECT_EQ(r.u64(), length);
+                    EXPECT_EQ(r.u32(), level);
+                    // The per-range phase is keyed by order and start.
+                    state += 0x9e3779b97f4a7c15ULL;
+                    std::uint64_t z = state ^ start;
+                    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+                    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+                    EXPECT_EQ(r.u64(), (z ^ (z >> 31)) % c.finalThreshold());
+                }
+                ASSERT_FALSE(r.failed());
+            }
+        }
+    }
 }
 
 TEST(Cbt, WarmStartTriggersUnderSpreadTrafficQuickly)
