@@ -14,7 +14,12 @@
  *   --ckpt-dir DIR  crash-resume manifest under DIR (grid drivers)
  *   --ckpt-every N  persist the manifest every N completed cells
  *   --resume        serve completed cells from the latest manifest
- *   --timeout-ms T  per-cell wall-clock budget (0 = unlimited)
+ *   --timeout-ms T  wall-clock budget per ACT-engine cell (0 =
+ *                   unlimited). Only cells with a cancellableBody
+ *                   honour it: the attack grids (runAdversarialGrid).
+ *                   System-sim cells (runOverheadGrid: fig8's normal
+ *                   grid, fig9's system grid) and ablation_scheduler's
+ *                   cells ignore it and always run to completion.
  *   --retries N     extra attempts after a cell timeout
  *   --no-progress   suppress the live progress line on stderr
  *   --help          usage
@@ -60,7 +65,8 @@ printUsage(const char *prog, std::ostream &os)
        << "  --ckpt-dir DIR  crash-resume manifest under DIR\n"
        << "  --ckpt-every N  persist manifest every N completed cells\n"
        << "  --resume        serve completed cells from the manifest\n"
-       << "  --timeout-ms T  per-cell wall-clock budget (0 = off)\n"
+       << "  --timeout-ms T  budget per ACT-engine cell (0 = off);\n"
+       << "                  system-sim cells ignore it\n"
        << "  --retries N     extra attempts after a cell timeout\n"
        << "  --no-progress   no live progress line on stderr\n"
        << "  --help          this message\n";

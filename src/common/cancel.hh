@@ -13,7 +13,7 @@
  *
  * The deadline lives *inside* the token rather than in a watchdog
  * thread: the pool is the only component allowed to create threads
- * (graphene_lint `raw-thread`), and a separate watchdog could do no
+ * (graphene_analyze `raw-thread`), and a separate watchdog could do no
  * more than set the same flag the polling thread can derive from the
  * clock itself.
  */

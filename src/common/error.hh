@@ -8,7 +8,7 @@
  * Error instead of calling fatal(), so a single bad trace line or
  * config field cannot kill an entire experiment grid. fatal() remains
  * legal only in CLI/bench main() boundaries (enforced by the
- * graphene_lint `boundary-fatal` rule); *internal* invariants keep
+ * graphene_analyze `boundary-fatal` rule); *internal* invariants keep
  * using the contract macros / GRAPHENE_CHECK, which panic, because a
  * broken invariant is a bug, not an input.
  *

@@ -11,7 +11,7 @@
  * instead of a silent bookkeeping bug. The soundness arguments of the
  * paper (and of BlockHammer/ABACuS-style trackers generally) depend
  * on never confusing these quantities; the type system now enforces
- * that, and tools/lint/graphene_lint polices the sites types cannot
+ * that, and graphene_analyze polices the sites types cannot
  * reach (see DESIGN.md "Static analysis & typed quantities").
  *
  * Two templates cover every need:

@@ -26,7 +26,7 @@ void
 LossyCountingTracker::pruneAtBoundary()
 {
     std::vector<Row> dead;
-    // lint: order-independent (collect-then-erase, per-entry test)
+    // analyze: allow(unordered-map-iteration) (collect-then-erase, per-entry test)
     for (const auto &kv : _table)
         if (kv.second.frequency + kv.second.delta <= _bucket)
             dead.push_back(kv.first);

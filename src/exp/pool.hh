@@ -18,7 +18,7 @@
  * for the determinism regression tests.
  *
  * This is the only place in the tree allowed to construct
- * std::thread (enforced by the graphene_lint `raw-thread` rule): all
+ * std::thread (enforced by the graphene_analyze `raw-thread` rule): all
  * parallelism flows through the pool so every parallel code path
  * inherits the determinism contract.
  */

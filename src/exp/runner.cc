@@ -181,7 +181,7 @@ Runner::openArtifacts()
     // An unwritable artifact path is an operator-level error: the
     // sweep's results would silently vanish.
     if (!_jsonl)
-        // lint: allow(boundary-fatal)
+        // analyze: allow(boundary-fatal)
         fatal("cannot open JSONL artifact '%s'",
               _options.jsonlPath.c_str());
 }

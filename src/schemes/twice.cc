@@ -117,7 +117,7 @@ void
 TwiCe::prune()
 {
     std::vector<Row> dead;
-    // lint: order-independent (collect-then-erase, per-entry test)
+    // analyze: allow(unordered-map-iteration) (collect-then-erase, per-entry test)
     for (auto &kv : _entries) {
         const double needed =
             _thPi * static_cast<double>(kv.second.life);
@@ -135,7 +135,7 @@ TwiCe::onRefresh(Cycle cycle, RefreshAction &action)
 {
     (void)cycle;
     (void)action;
-    // lint: order-independent — increments every entry uniformly.
+    // analyze: allow(unordered-map-iteration) — increments every entry uniformly.
     for (auto &kv : _entries)
         ++kv.second.life;
     prune();

@@ -22,7 +22,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace graphene::analyze;
-using graphene::toolscan::Finding;
 
 fs::path
 fixtureRoot(const std::string &name)
@@ -194,7 +193,7 @@ TEST(AnalyzePasses, RealTreeAnalyzesWithoutErrors)
         EXPECT_NE(f.severity, "error")
             << f.file << ":" << f.line << " [" << f.rule << "] "
             << f.message;
-    EXPECT_EQ(graphene::toolscan::errorCount(findings), 0u);
+    EXPECT_EQ(errorCount(findings), 0u);
 }
 
 TEST(AnalyzePasses, LayersConfigRejectsUndeclaredDep)

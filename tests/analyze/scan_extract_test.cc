@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the toolscan extraction layer the analyze passes
- * share: comment/raw-string/#if-0 stripping and function-definition
+ * Unit tests for the scanning layer the analyze passes share:
+ * comment/raw-string/#if-0 stripping and function-definition
  * scanning (free, member, out-of-line qualified).
  */
 
@@ -12,14 +12,14 @@
 
 #include <gtest/gtest.h>
 
-#include "common/scan.hh"
+#include "scan.hh"
 
 namespace {
 
-using graphene::toolscan::scanFunctions;
-using graphene::toolscan::ScannedFunction;
-using graphene::toolscan::stripLines;
-using graphene::toolscan::unqualifiedName;
+using graphene::analyze::scanFunctions;
+using graphene::analyze::ScannedFunction;
+using graphene::analyze::stripLines;
+using graphene::analyze::unqualifiedName;
 
 std::string
 join(const std::vector<std::string> &lines)

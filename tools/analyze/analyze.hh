@@ -1,62 +1,97 @@
 /**
  * @file
- * graphene_analyze: whole-repo structural static analysis.
+ * graphene_analyze: the repo's one static analyzer.
  *
- * Where graphene_lint enforces line-level conventions, this tool
- * checks file- and graph-level properties of the tree (no libclang —
- * the same token-level scanning substrate from tools/common). Five
- * passes — layer-dag, fingerprint-completeness, result-discard,
- * coverage-audit, ckpt-completeness — report these rules:
+ * Token-level (deliberately no libclang dependency; the substrate is
+ * scan.hh). Six passes report these rules:
  *
- *   layer-dag              The architecture layering declared in
- *                          tools/analyze/layers.toml must hold in
- *                          the real `#include` graph: an include may
- *                          only cross from a layer to one of its
- *                          declared dependencies. Back-edges fail.
+ * conventions — line-level rules over src/ (Corpus::srcFiles):
+ *
+ *   raw-domain-type        Domain quantities (cycles, rows, bank
+ *                          ids, addresses, activation counts) must
+ *                          use the strong types from
+ *                          common/types.hh, not raw uint32_t/
+ *                          uint64_t, anywhere outside types.hh.
+ *   nondeterministic-rng   No std::rand/srand, std::random_device or
+ *                          time-seeded RNG outside common/random:
+ *                          every experiment must be reproducible
+ *                          from an explicit seed.
+ *   unordered-map-iteration
+ *                          Iterating a std::unordered_map in the
+ *                          tracker/scheme hot paths (src/core,
+ *                          src/schemes) risks order-dependent
+ *                          results; each audited loop carries a
+ *                          waiver with its rationale.
+ *   float-type             No `float`: physical quantities are
+ *                          double (or integral strong types).
+ *   contract-macro-include A header using the GRAPHENE_* contract
+ *                          macros must include check/contracts.hh
+ *                          itself, not rely on a transitive include.
+ *   boundary-fatal         fatal()/panic() only in the logging/
+ *                          error/contract machinery: library code
+ *                          returns a typed Result/Error or uses
+ *                          GRAPHENE_CHECK (DESIGN.md §9).
+ *   raw-thread             std::thread/jthread/async only in
+ *                          src/exp/: parallelism flows through
+ *                          exp::Pool (DESIGN.md §10).
+ *   direct-logging         No std::cout/printf-family writes outside
+ *                          common/logging: library code reports
+ *                          through obs:: probes or common/logging
+ *                          (std::cerr stays allowed).
+ *
+ * Path exemptions match the root-relative SourceFile::rel only, never
+ * the absolute path, so where the checkout lives cannot exempt a
+ * file. bench/, examples/, tests/ and tools/ (the main() boundaries)
+ * are outside the pass's src/ scope.
+ *
+ * layer-dag — the include graph against tools/analyze/layers.toml:
+ *
+ *   layer-dag              An include may only cross from a layer to
+ *                          one of its declared dependencies.
  *   include-cycle          The resolved quoted-include graph must be
  *                          acyclic (reported with the full cycle).
+ *   layer-config           layers.toml must parse and be acyclic.
+ *
+ * fingerprint-completeness:
+ *
  *   fingerprint-completeness
  *                          Every field of a struct handed to a
  *                          fingerprint adder function must be folded
- *                          into the digest — a forgotten field means
- *                          two *different* experiment specs share a
- *                          cache address and the runner silently
- *                          returns stale results. Deliberately
- *                          unhashed fields carry an explicit
- *                          `analyze: fp-exempt(<field>)` waiver with
- *                          a rationale.
+ *                          into the digest, or two different
+ *                          experiment specs share a cache address.
+ *
+ * result-discard:
+ *
  *   result-discard         `Result`-returning calls must not be
  *                          discarded: no `(void)` casts, no bare-
  *                          statement calls, and no unwrapOrFatal()
- *                          outside CLI/bench main() boundaries
- *                          (library code propagates typed errors).
+ *                          outside CLI/bench main() boundaries.
+ *
+ * coverage-audit:
+ *
  *   coverage-audit         ProtectionScheme / tracker entry points
  *                          lacking both a GRAPHENE_* contract and an
- *                          obs:: probe report are gaps. Existing
- *                          gaps live in a committed baseline file
- *                          (warnings); *new* gaps are errors.
- *   ckpt-completeness      Every `_`-prefixed data member of a class
- *                          defining saveState/restoreState (the
- *                          checkpoint protocol, DESIGN.md §14) must
- *                          be referenced in BOTH bodies — a member
- *                          missing from either side means a kill-
- *                          and-resume silently diverges from the
- *                          uninterrupted run. Deliberately
- *                          unserialized members (config, derived
- *                          caches, transient scratch) carry an
- *                          `analyze: ckpt-exempt(<member>)` waiver
- *                          with a rationale. One-sided pairs
- *                          (saveState without restoreState) are
- *                          errors outright.
- *   stale-baseline         A committed coverage baseline entry
- *                          matching no current finding is an
- *                          error: burned-down debt must be pruned
- *                          from the committed file, or the baseline
- *                          quietly stops meaning anything.
+ *                          obs:: probe report. Gaps listed in
+ *                          coverage_baseline.txt are warnings; new
+ *                          gaps are errors.
+ *   stale-baseline         A baseline entry matching no current gap
+ *                          is an error: burned-down debt is pruned.
  *
- * Waivers: `analyze: allow(<rule>)` on the finding line or the line
- * above; fingerprint exemptions use `analyze: fp-exempt(<field>)` at
- * the field's declaration site or inside the adder function.
+ * ckpt-completeness:
+ *
+ *   ckpt-completeness      Every `_`-prefixed data member of a class
+ *                          defining saveState/restoreState
+ *                          (DESIGN.md §14) must be referenced in
+ *                          BOTH bodies; one-sided pairs are errors.
+ *
+ * Waivers, one grammar, on the finding line or the line above:
+ *   `analyze: allow(<rule>)`        waives one finding of <rule>;
+ *   `analyze: fp-exempt(<field>)`   a deliberately unhashed field
+ *                                   (declaration or adder function);
+ *   `analyze: ckpt-exempt(<member>)` a deliberately unserialized
+ *                                   member (declaration or either
+ *                                   state function).
+ * Each waiver carries its rationale in the same comment.
  */
 
 #ifndef TOOLS_ANALYZE_ANALYZE_HH
@@ -69,12 +104,10 @@
 #include <string>
 #include <vector>
 
-#include "common/scan.hh"
+#include "scan.hh"
 
 namespace graphene {
 namespace analyze {
-
-using toolscan::Finding;
 
 /** One scanned source file. */
 struct SourceFile
@@ -153,6 +186,8 @@ bool parseLayersFile(const std::filesystem::path &file,
                      LayerConfig &config, std::string &error);
 
 /** Pass entry points; each appends findings. */
+void runConventionsPass(const Corpus &corpus,
+                        std::vector<Finding> &findings);
 void runLayerPass(const Corpus &corpus,
                   std::vector<Finding> &findings);
 void runFingerprintPass(const Corpus &corpus,
@@ -165,11 +200,11 @@ void runCkptPass(const Corpus &corpus,
                  std::vector<Finding> &findings);
 
 /**
- * Load a baseline file of `key` lines ('#' comments allowed), the
- * shape of coverage_baseline.txt.
+ * Read a file of one key per line, trimmed ('#' comments allowed):
+ * the shape of coverage_baseline.txt and of a fixture's EXPECT. A
+ * missing file reads as empty.
  */
-std::set<std::string>
-loadBaselineFile(const std::filesystem::path &file);
+std::set<std::string> readLineSet(const std::filesystem::path &file);
 
 /** All pass names, in execution order. */
 const std::vector<std::string> &allPasses();
@@ -179,10 +214,6 @@ std::vector<Finding> runPasses(const Corpus &corpus,
                                const std::set<std::string> &passes);
 
 // ---- shared parsing helpers (token level) --------------------------
-
-using toolscan::matchBrace;
-using toolscan::ScannedFunction;
-using toolscan::scanFunctions;
 
 /** A struct field parsed from a definition. */
 struct StructField

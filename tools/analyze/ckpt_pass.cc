@@ -280,7 +280,7 @@ runCkptPass(const Corpus &corpus, std::vector<Finding> &findings)
                 std::regex_search(pair.restore.body, ref);
             if (saved && restored)
                 continue;
-            if (toolscan::suppressed(
+            if (suppressed(
                     decl_file.raw, member.line - 1,
                     "analyze: ckpt-exempt(" + member.name + ")"))
                 continue;

@@ -22,6 +22,15 @@ SourceFile::lineOf(std::size_t off) const
 
 namespace {
 
+/** The C++ source extensions the analyzer scans. */
+bool
+isCppSource(const fs::path &p)
+{
+    const std::string ext = p.extension().string();
+    return ext == ".cc" || ext == ".hh" || ext == ".cpp" ||
+           ext == ".hpp" || ext == ".h";
+}
+
 std::string
 relativeTo(const fs::path &root, const fs::path &p)
 {
@@ -36,7 +45,7 @@ void
 loadFile(const fs::path &root, const fs::path &path, Corpus &corpus)
 {
     std::string text;
-    if (!toolscan::readFile(path, text)) {
+    if (!readFile(path, text)) {
         std::cerr << "graphene_analyze: cannot read " << path
                   << "\n";
         return;
@@ -44,8 +53,8 @@ loadFile(const fs::path &root, const fs::path &path, Corpus &corpus)
     SourceFile f;
     f.path = path;
     f.rel = relativeTo(root, path);
-    f.code = toolscan::stripLines(text);
-    f.raw = toolscan::rawLines(text);
+    f.code = stripLines(text);
+    f.raw = rawLines(text);
     f.joined.reserve(text.size());
     for (const auto &line : f.code) {
         f.lineStart.push_back(f.joined.size());
@@ -76,8 +85,7 @@ buildCorpus(const fs::path &root, const fs::path &layers_file,
         if (!fs::is_directory(dir))
             continue;
         for (const auto &e : fs::recursive_directory_iterator(dir)) {
-            if (!e.is_regular_file() ||
-                !toolscan::lintableExtension(e.path()))
+            if (!e.is_regular_file() || !isCppSource(e.path()))
                 continue;
             // Skip fixture corpora *relative to the scanned root*: a
             // self-test corpus may itself live under a fixtures/
@@ -250,7 +258,7 @@ buildStructRegistry(const Corpus &corpus)
 }
 
 std::set<std::string>
-loadBaselineFile(const fs::path &file)
+readLineSet(const fs::path &file)
 {
     std::set<std::string> entries;
     std::ifstream in(file);
@@ -274,7 +282,8 @@ const std::vector<std::string> &
 allPasses()
 {
     static const std::vector<std::string> passes = {
-        "layer-dag", "fingerprint-completeness", "result-discard",
+        "conventions",    "layer-dag",
+        "fingerprint-completeness", "result-discard",
         "coverage-audit", "ckpt-completeness"};
     return passes;
 }
@@ -286,6 +295,8 @@ runPasses(const Corpus &corpus, const std::set<std::string> &passes)
         return passes.empty() || passes.count(name) != 0;
     };
     std::vector<Finding> findings;
+    if (want("conventions"))
+        runConventionsPass(corpus, findings);
     if (want("layer-dag"))
         runLayerPass(corpus, findings);
     if (want("fingerprint-completeness"))

@@ -24,15 +24,6 @@ entryPointNames()
     return names;
 }
 
-std::string
-baseName(const std::string &qualified)
-{
-    const std::size_t colons = qualified.rfind("::");
-    return colons == std::string::npos
-               ? qualified
-               : qualified.substr(colons + 2);
-}
-
 } // namespace
 
 void
@@ -43,7 +34,7 @@ runCoveragePass(const Corpus &corpus, std::vector<Finding> &findings)
         R"(\b_?probe\s*(?:\.|->)|\bnoteVictimRefresh\s*\(|\bobs\s*::)");
 
     const std::set<std::string> baseline =
-        loadBaselineFile(corpus.baselineFile);
+        readLineSet(corpus.baselineFile);
     std::set<std::string> gaps;
 
     for (const SourceFile &file : corpus.files) {
@@ -51,7 +42,7 @@ runCoveragePass(const Corpus &corpus, std::vector<Finding> &findings)
             file.rel.rfind("src/schemes/", 0) != 0)
             continue;
         for (const ScannedFunction &func : scanFunctions(file.joined)) {
-            if (!entryPointNames().count(baseName(func.name)))
+            if (!entryPointNames().count(unqualifiedName(func.name)))
                 continue;
             const std::string body = file.joined.substr(
                 func.bodyBegin, func.bodyEnd - func.bodyBegin);
@@ -59,8 +50,7 @@ runCoveragePass(const Corpus &corpus, std::vector<Finding> &findings)
                 std::regex_search(body, probe))
                 continue;
             const unsigned line = file.lineOf(func.nameOffset);
-            if (toolscan::allowMarker(file.raw, line - 1, "analyze",
-                                      "coverage-audit"))
+            if (allowMarker(file.raw, line - 1, "coverage-audit"))
                 continue;
             const std::string key = file.rel + ":" + func.name;
             gaps.insert(key);

@@ -149,7 +149,7 @@ auditInstance(const AuditContext &ctx, const std::string &name,
                              R"(\b)");
         if (std::regex_search(ctx.body, ref))
             continue;
-        if (toolscan::suppressed(
+        if (suppressed(
                 decl_file.raw, field.line - 1,
                 "analyze: fp-exempt(" + field.name + ")"))
             continue;

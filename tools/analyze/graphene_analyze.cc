@@ -1,18 +1,16 @@
 /**
  * @file
- * graphene_analyze: whole-repo structural static analysis (see
- * analyze.hh for the pass catalogue).
+ * graphene_analyze: the repo's one static analyzer (see analyze.hh
+ * for the rule catalogue).
  *
  * Usage:
  *   graphene_analyze [options]         analyze a tree (default: .)
  *   graphene_analyze --self-test DIR   run the known-bad fixtures
  *
  * Options:
- *   --root DIR       repository root to scan (default ".")
- *   --layers FILE    layer config (default ROOT/tools/analyze/
- *                    layers.toml)
- *   --baseline FILE  coverage baseline (default ROOT/tools/analyze/
- *                    coverage_baseline.txt)
+ *   --root DIR       repository root to scan (default "."); the
+ *                    layer config and coverage baseline are read
+ *                    from ROOT/tools/analyze/
  *   --pass NAME      run only the named pass (repeatable)
  *   --json PATH      also write findings in the shared
  *                    machine-readable shape
@@ -40,34 +38,9 @@
 
 namespace fs = std::filesystem;
 
-using graphene::analyze::allPasses;
-using graphene::analyze::buildCorpus;
-using graphene::analyze::Corpus;
-using graphene::analyze::Finding;
-using graphene::analyze::runPasses;
+using namespace graphene::analyze;
 
 namespace {
-
-std::set<std::string>
-readExpect(const fs::path &file)
-{
-    std::set<std::string> rules;
-    std::ifstream in(file);
-    if (!in)
-        return rules;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        const std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos)
-            continue;
-        const std::size_t last = line.find_last_not_of(" \t\r");
-        rules.insert(line.substr(first, last - first + 1));
-    }
-    return rules;
-}
 
 int
 selfTest(const fs::path &dir)
@@ -92,7 +65,7 @@ selfTest(const fs::path &dir)
     unsigned failures = 0;
     for (const auto &fixture : fixtures) {
         const std::set<std::string> expected =
-            readExpect(fixture / "EXPECT");
+            readLineSet(fixture / "EXPECT");
         const Corpus corpus =
             buildCorpus(fixture, fixture / "layers.toml",
                         fixture / "coverage_baseline.txt");
@@ -131,9 +104,7 @@ selfTest(const fs::path &dir)
             for (const auto &p : problems)
                 std::cout << "  " << p << "\n";
             for (const auto &f : findings)
-                std::cout << "  got: "
-                          << graphene::toolscan::formatFinding(f)
-                          << "\n";
+                std::cout << "  got: " << formatFinding(f) << "\n";
         }
     }
     std::cout << fixtures.size() << " fixture(s), " << failures
@@ -163,7 +134,6 @@ main(int argc, char **argv)
     }
 
     fs::path root = ".";
-    fs::path layers, baseline;
     std::set<std::string> passes;
     std::string json_path;
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -179,9 +149,7 @@ main(int argc, char **argv)
         if (a == "--help" || a == "-h") {
             std::cout
                 << "usage: graphene_analyze [--root DIR] "
-                   "[--layers FILE] [--baseline FILE]\n"
-                   "                        [--pass NAME]... "
-                   "[--json PATH]\n"
+                   "[--pass NAME]... [--json PATH]\n"
                    "       graphene_analyze --self-test "
                    "[fixture-dir]\n"
                    "passes:";
@@ -191,10 +159,6 @@ main(int argc, char **argv)
             return 0;
         } else if (a == "--root") {
             root = value("directory");
-        } else if (a == "--layers") {
-            layers = value("file");
-        } else if (a == "--baseline") {
-            baseline = value("file");
         } else if (a == "--pass") {
             const std::string pass = value("pass name");
             const auto &all = allPasses();
@@ -211,27 +175,22 @@ main(int argc, char **argv)
     if (!fs::is_directory(root))
         return usageError("root is not a directory: " +
                           root.generic_string());
-    if (layers.empty())
-        layers = root / "tools/analyze/layers.toml";
-    if (baseline.empty())
-        baseline = root / "tools/analyze/coverage_baseline.txt";
-
-    const Corpus corpus = buildCorpus(root, layers, baseline);
+    const Corpus corpus =
+        buildCorpus(root, root / "tools/analyze/layers.toml",
+                    root / "tools/analyze/coverage_baseline.txt");
     const std::vector<Finding> findings = runPasses(corpus, passes);
 
     for (const auto &f : findings)
-        std::cout << graphene::toolscan::formatFinding(f) << "\n";
+        std::cout << formatFinding(f) << "\n";
     if (!json_path.empty()) {
         std::ofstream os(json_path, std::ios::trunc);
         if (!os)
             return usageError("cannot write " + json_path);
-        graphene::toolscan::writeFindingsJson(os,
-                                              "graphene_analyze",
-                                              findings);
+        writeFindingsJson(os, findings);
     }
 
     const std::size_t errors =
-        graphene::toolscan::errorCount(findings);
+        errorCount(findings);
     const std::size_t warnings = findings.size() - errors;
     std::cout << "graphene_analyze: " << corpus.files.size()
               << " file(s), " << errors << " error(s), " << warnings

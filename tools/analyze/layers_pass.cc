@@ -327,8 +327,7 @@ runLayerPass(const Corpus &corpus, std::vector<Finding> &findings)
         if (from->deps.count(to->name))
             continue;
         const SourceFile &file = corpus.files[e.from];
-        if (toolscan::allowMarker(file.raw, e.line - 1, "analyze",
-                                  "layer-dag"))
+        if (allowMarker(file.raw, e.line - 1, "layer-dag"))
             continue;
         findings.push_back(
             {file.rel, e.line, "layer-dag",

@@ -35,12 +35,9 @@ resultReturningNames(const Corpus &corpus)
             std::sregex_iterator(text.begin(), text.end(), decl);
         for (auto it = begin; it != std::sregex_iterator(); ++it) {
             const std::string type = (*it)[1].str();
-            std::string name = (*it)[2].str();
+            const std::string name = unqualifiedName((*it)[2].str());
             if (type_keywords.count(type))
                 continue;
-            const std::size_t colons = name.rfind("::");
-            if (colons != std::string::npos)
-                name = name.substr(colons + 2);
             if (type_keywords.count(name) || name == "operator")
                 continue;
             // Result-returning means the Result<T> template itself,
@@ -131,8 +128,7 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
             // the helper's own implementation.
             if (!boundary && !error_impl &&
                 line.find("unwrapOrFatal") != std::string::npos &&
-                !toolscan::allowMarker(file.raw, i, "analyze",
-                                       "result-discard")) {
+                !allowMarker(file.raw, i, "result-discard")) {
                 findings.push_back(
                     {file.rel, static_cast<unsigned>(i + 1),
                      "result-discard",
@@ -169,8 +165,7 @@ runResultPass(const Corpus &corpus, std::vector<Finding> &findings)
                 const bool voided = std::regex_search(line, p.voidCast);
                 if (!voided && !std::regex_match(line, p.bareStmt))
                     continue;
-                if (toolscan::allowMarker(file.raw, i, "analyze",
-                                          "result-discard"))
+                if (allowMarker(file.raw, i, "result-discard"))
                     continue;
                 findings.push_back(
                     {file.rel, static_cast<unsigned>(i + 1),

@@ -76,13 +76,8 @@ else
     failures=$((failures + 1))
 fi
 
-step "graphene_lint: repo-specific static analysis (self-test + src)"
+step "graphene_analyze: static analysis (self-test + whole tree)"
 cmake --preset default >/dev/null
-cmake --build --preset default -j "$jobs" --target graphene_lint
-./build/tools/lint/graphene_lint --self-test tools/lint/fixtures
-./build/tools/lint/graphene_lint src
-
-step "graphene_analyze: structural analysis (self-test + whole tree)"
 cmake --build --preset default -j "$jobs" --target graphene_analyze
 ./build/tools/analyze/graphene_analyze --self-test tools/analyze/fixtures
 ./build/tools/analyze/graphene_analyze --root . \
