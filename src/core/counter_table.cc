@@ -11,6 +11,21 @@
 namespace graphene {
 namespace core {
 
+namespace {
+
+/** @p map as (row, slot) pairs sorted by row: checkpoint order. */
+std::vector<std::pair<Row, unsigned>>
+sortedIndex(const std::unordered_map<Row, unsigned> &map)
+{
+    // analyze: allow(unordered-map-iteration) — sorted right below.
+    std::vector<std::pair<Row, unsigned>> sorted(map.begin(),
+                                                 map.end());
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+}
+
+} // namespace
+
 CounterTable::CounterTable(unsigned num_entries)
 {
     GRAPHENE_CHECK(num_entries > 0,
@@ -62,16 +77,10 @@ CounterTable::processActivation(Row addr)
         // spillover count; the old count carries over (+1).
         const unsigned slot = *bucket->second.begin();
         Entry &e = _entries[slot];
-        if (e.addr.isValid()) {
-            // Erase only this slot's own mapping: after an injected
-            // address fault two slots can alias one address, and the
-            // mapping may belong to the other slot.
-            auto old = _index.find(e.addr);
-            if (old != _index.end() && old->second == slot)
-                _index.erase(old);
-        } else {
+        if (e.addr.isValid())
+            _index.erase(e.addr);
+        else
             ++_occupied;
-        }
         GRAPHENE_EXPECTS(e.count == _spillover,
                          "replacement candidate must sit exactly at "
                          "the spillover count (Figure 1 flow)");
@@ -138,84 +147,6 @@ CounterTable::minEstimatedCount() const
     return min;
 }
 
-bool
-CounterTable::corruptEntryAddress(unsigned slot, unsigned bit)
-{
-    GRAPHENE_CHECK(slot < _entries.size(),
-                   "counter table: fault slot %u out of range", slot);
-    GRAPHENE_CHECK(bit < 32,
-                   "counter table: address fault bit %u out of range",
-                   bit);
-    Entry &e = _entries[slot];
-    if (!e.addr.isValid())
-        return false;
-    const Row old = e.addr;
-    const Row corrupted{old.value() ^ (1u << bit)};
-    auto it = _index.find(old);
-    if (it != _index.end() && it->second == slot)
-        _index.erase(it);
-    e.addr = corrupted;
-    if (corrupted.isValid()) {
-        // No-op when another slot already owns the corrupted address:
-        // that slot keeps matching first and this one is shadowed.
-        _index.emplace(corrupted, slot);
-    } else {
-        // The flip landed on the all-ones sentinel: the slot now
-        // reads as empty.
-        --_occupied;
-    }
-    return true;
-}
-
-void
-CounterTable::corruptEntryCount(unsigned slot, unsigned bit)
-{
-    GRAPHENE_CHECK(slot < _entries.size(),
-                   "counter table: fault slot %u out of range", slot);
-    GRAPHENE_CHECK(bit < 64,
-                   "counter table: count fault bit %u out of range",
-                   bit);
-    Entry &e = _entries[slot];
-    const ActCount old = e.count;
-    const ActCount corrupted{old.value() ^ (1ULL << bit)};
-    moveBucket(slot, old, corrupted);
-    e.count = corrupted;
-}
-
-void
-CounterTable::corruptSpillover(unsigned bit)
-{
-    GRAPHENE_CHECK(bit < 64,
-                   "counter table: spillover fault bit %u out of "
-                   "range", bit);
-    _spillover = ActCount{_spillover.value() ^ (1ULL << bit)};
-}
-
-Row
-CounterTable::scrubResetEntry(unsigned slot)
-{
-    GRAPHENE_CHECK(slot < _entries.size(),
-                   "counter table: scrub slot %u out of range", slot);
-    Entry &e = _entries[slot];
-    const Row old = e.addr;
-    if (old.isValid()) {
-        auto it = _index.find(old);
-        if (it != _index.end() && it->second == slot)
-            _index.erase(it);
-        --_occupied;
-    }
-    moveBucket(slot, e.count, _spillover);
-    e.addr = Row::invalid();
-    e.count = _spillover;
-    return old;
-}
-
-void
-CounterTable::scrubSetSpillover(ActCount value)
-{
-    _spillover = value;
-}
-
 void
 CounterTable::saveState(ckpt::Writer &w) const
 {
@@ -224,13 +155,7 @@ CounterTable::saveState(ckpt::Writer &w) const
         w.u32(e.addr.value());
         w.u64(e.count.value());
     }
-    // The address index is genuine state: after an injected address
-    // fault two slots can alias one address and the index records
-    // which slot the CAM match resolves to. Sorted by row for
-    // deterministic bytes.
-    std::vector<std::pair<Row, unsigned>> index(_index.begin(),
-                                                _index.end());
-    std::sort(index.begin(), index.end());
+    const std::vector<std::pair<Row, unsigned>> index = sortedIndex(_index);
     w.u64(index.size());
     for (const auto &[row, slot] : index) {
         w.u32(row.value());
@@ -248,28 +173,32 @@ CounterTable::restoreState(ckpt::Reader &r)
         r.fail();
         return;
     }
-    for (Entry &e : _entries) {
+    _index.clear();
+    for (unsigned i = 0; i < _entries.size(); ++i) {
+        Entry &e = _entries[i];
         e.addr = Row(r.u32());
         e.count = ActCount(r.u64());
-    }
-    _index.clear();
-    const std::uint64_t index_size = r.u64();
-    if (index_size > _entries.size()) {
-        r.fail();
-        return;
-    }
-    for (std::uint64_t i = 0; i < index_size && !r.failed(); ++i) {
-        const Row row{r.u32()};
-        const unsigned slot = r.u32();
-        if (slot >= _entries.size()) {
+        // No table ever holds one row in two slots.
+        if (e.addr.isValid() && !_index.emplace(e.addr, i).second)
             r.fail();
-            return;
+    }
+    // The stored index must be exactly the one the entries imply.
+    const std::vector<std::pair<Row, unsigned>> derived = sortedIndex(_index);
+    if (r.u64() == derived.size()) {
+        for (const auto &[row, slot] : derived) {
+            const Row stored_row{r.u32()};
+            const unsigned stored_slot = r.u32();
+            if (stored_row != row || stored_slot != slot)
+                r.fail();
         }
-        _index.emplace(row, slot);
+    } else {
+        r.fail();
     }
     _spillover = ActCount(r.u64());
     _streamLength = ActCount(r.u64());
     _occupied = r.u32();
+    if (_occupied != derived.size() || minEstimatedCount() < _spillover)
+        r.fail();
     _buckets.clear();
     for (unsigned i = 0; i < _entries.size(); ++i)
         _buckets[_entries[i].count].insert(i);

@@ -109,79 +109,28 @@ class CounterTable
 
     /**
      * Panic unless the internal invariants hold: every count >= the
-     * spillover count, and spillover <= streamLength / (Nentry + 1).
-     * Used by the property tests after every step. Must not be called
-     * on a table that has had faults injected and not yet been
-     * scrubbed/reset: the conservation check is a hard panic, and a
-     * flipped bit legitimately breaks it.
+     * spillover count, spillover <= streamLength / (Nentry + 1), and
+     * conservation (counts + spillover == streamLength). Used by the
+     * property tests after every step.
      */
     void checkInvariants() const;
 
     /**
-     * @name Fault-injection and scrub hooks
-     *
-     * The corrupt*() methods model single-event upsets in the SRAM/CAM
-     * arrays for the inject:: fault-injection harness. They flip one
-     * stored bit while keeping the *bookkeeping* (_index, _buckets)
-     * structurally consistent — like real hardware, where a flipped
-     * cell changes what the CAM matches but never produces an
-     * impossible circuit state — so only the semantic guarantees
-     * (Lemmas 1-2, conservation) break, never the hard-panicking
-     * internal consistency checks.
-     *
-     * The scrub*() methods are the repair actions a parity-protected
-     * table (HardenedCounterTable) takes when a check fails: they
-     * restore the invariants conservatively (over-estimating, never
-     * under-estimating, so Lemma 1 safety is regained going forward).
-     */
-    ///@{
-
-    /**
-     * Flip bit @p bit of the address stored in @p slot. The old
-     * index mapping is dropped and the new address is indexed unless
-     * another slot already owns it (the aliased slot then shadows
-     * this one, as in a CAM with two matching lines).
-     *
-     * @return false (no flip) when the slot holds no valid address.
-     */
-    bool corruptEntryAddress(unsigned slot, unsigned bit);
-
-    /** Flip bit @p bit of the estimated count stored in @p slot. */
-    void corruptEntryCount(unsigned slot, unsigned bit);
-
-    /** Flip bit @p bit of the spillover count register. */
-    void corruptSpillover(unsigned bit);
-
-    /**
-     * Scrub repair: invalidate @p slot and reset its count to the
-     * current spillover count (making it an immediate replacement
-     * candidate, exactly like a fresh table slot).
-     *
-     * @return the address the slot held (possibly corrupted), so the
-     *         caller can issue a conservative victim refresh for it;
-     *         Row::invalid() when the slot was empty.
-     */
-    Row scrubResetEntry(unsigned slot);
-
-    /**
-     * Scrub repair: overwrite the spillover register. Callers pass a
-     * conservative (high) estimate — typically the minimum estimated
-     * count over the trusted entries — since over-estimating the
-     * untracked rows' counts is the protection-safe direction.
-     */
-    void scrubSetSpillover(ActCount value);
-
-    ///@}
-
-    /**
      * Serialize entries (slot order), the address index (sorted by
-     * row — under injected faults two slots can alias one address,
-     * so the index is state, not a derivation), spillover, stream
-     * length and occupancy. Buckets are rebuilt (DESIGN.md §14).
+     * row), spillover, stream length and occupancy. The index and
+     * the buckets are both derivable from the entries; the index is
+     * still written so the format stays stable, and restoreState()
+     * checks it against the derived one (DESIGN.md §14).
      */
     void saveState(ckpt::Writer &w) const;
 
-    /** Inverse of saveState() onto a same-capacity table. */
+    /**
+     * Inverse of saveState() onto a same-capacity table. Rebuilds the
+     * index from the entries and fails @p r unless the stored state
+     * is one the table can reach: the stored index equals the derived
+     * one, no row occupies two slots, the occupancy matches and no
+     * count sits below the spillover count.
+     */
     void restoreState(ckpt::Reader &r);
 
   private:

@@ -5,9 +5,9 @@
  * with the (flat, cross-channel) bank it happened in.
  *
  * Events are the unit of the tracing layer (obs/trace.hh): schemes,
- * controllers, and the fault-injection harness emit them through
- * obs::Probe, per-bank ring buffers retain a bounded prefix, and the
- * exporters serialise them as JSONL or Chrome trace_event JSON.
+ * controllers, and serve sessions emit them through obs::Probe,
+ * per-bank ring buffers retain a bounded prefix, and the exporters
+ * serialise them as JSONL or Chrome trace_event JSON.
  *
  * The Event struct itself is defined in both build modes — tests and
  * tools manipulate events directly — but nothing *records* one when
@@ -49,8 +49,6 @@ enum class EventKind : std::uint8_t {
     TrackerSpill,   ///< Misra-Gries: spillover counter incremented.
     TrackerReset,   ///< Tracker state wiped at a window boundary.
     QueueStall,     ///< Request delayed (refresh debt / batch cap).
-    FaultInject,    ///< inject:: corrupted tracker state or stream.
-    Scrub,          ///< Hardened-table scrub pass repaired state.
     Alert,          ///< A telemetry alert rule fired (obs/alerts.hh).
 };
 
@@ -67,8 +65,6 @@ eventKindName(EventKind kind)
       case EventKind::TrackerSpill:   return "tracker-spill";
       case EventKind::TrackerReset:   return "tracker-reset";
       case EventKind::QueueStall:     return "queue-stall";
-      case EventKind::FaultInject:    return "fault-inject";
-      case EventKind::Scrub:          return "scrub";
       case EventKind::Alert:          return "alert";
     }
     return "unknown";
@@ -79,8 +75,7 @@ eventKindName(EventKind kind)
  * (Row::invalid() otherwise); `arg` carries a kind-specific payload:
  * rows refreshed for VictimRefresh, estimated count for
  * ThresholdCross, table slot for Tracker*, stall cycles for
- * QueueStall, fault-site ordinal for FaultInject, entries repaired
- * for Scrub, rule ordinal for Alert.
+ * QueueStall, rule ordinal for Alert.
  */
 struct Event
 {

@@ -3,9 +3,9 @@
  * obs::Sink — the umbrella observability object for one run.
  *
  * A Sink owns one Tracer and one MetricsRegistry; simulation entry
- * points (sim::runSystem, sim::runActStream, inject::runDegradation)
- * take an optional `Sink *` in their configs and hand probeFor()
- * probes to the components they build. The pointer is *never* part
+ * points (sim::runSystem, sim::runActStream) take an optional
+ * `Sink *` in their configs and hand probeFor() probes to the
+ * components they build. The pointer is *never* part
  * of a configuration fingerprint: observability output lives beside
  * the deterministic artifact, not inside it (DESIGN.md §11).
  */

@@ -100,8 +100,8 @@ runAdversarialGrid(const ActEngineConfig &base,
 /**
  * Content fingerprint of a scheme spec — the scheme-axis
  * contribution to every cell fingerprint (and hence cache key).
- * Exposed so the fault-injection perturbation corpus can assert
- * fingerprint sensitivity: any field change must change the digest.
+ * Exposed so the fingerprint and cache tests can assert its
+ * sensitivity: any field change must change the digest.
  */
 std::uint64_t schemeSpecDigest(const schemes::SchemeSpec &spec);
 

@@ -5,7 +5,7 @@
  * one way and must be rejected with exactly the ErrorCode its name
  * promises — never crash, never return a blob. Regenerate the corpus
  * with tools/make_ckpt_corpus.py (kept in lockstep with the mapping
- * below). CI runs this under ASan as part of the injection gate.
+ * below). CI runs it under ASan with the rest of the suite.
  */
 
 #include <gtest/gtest.h>

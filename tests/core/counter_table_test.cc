@@ -12,8 +12,10 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "ckpt/io.hh"
 #include "common/random.hh"
 #include "common/zipf.hh"
 #include "core/counter_table.hh"
@@ -244,82 +246,107 @@ TEST(CounterTable, ResultReportsTheTouchedSlot)
     EXPECT_EQ(spill.slot, CounterTable::kNoSlot);
 }
 
-TEST(CounterTable, CorruptCountKeepsTableUsable)
+/** One stored entry of a hand-built checkpoint. */
+struct StoredEntry
 {
-    // The corruption hooks must keep the bookkeeping structurally
-    // consistent: activations after a flip never hard-panic, only the
-    // semantic guarantees (Lemma 1) break. Note checkInvariants() is
-    // deliberately NOT called here — a faulted table legitimately
-    // violates conservation until scrubbed or reset.
-    CounterTable t(2);
-    for (int i = 0; i < 9; ++i)
-        t.processActivation(Row{5});
-    const unsigned slot = t.processActivation(Row{5}).slot;
-    ASSERT_NE(slot, CounterTable::kNoSlot);
+    std::uint32_t addr;
+    std::uint64_t count;
+};
 
-    t.corruptEntryCount(slot, 3); // 10 -> 2
-    EXPECT_EQ(t.estimatedCount(Row{5}).value(), 2u);
-    for (std::uint32_t i = 0; i < 50; ++i)
-        t.processActivation(Row{i % 7});
-    t.reset();
-    t.checkInvariants(); // reset restores a clean state
+/**
+ * A CounterTable payload written field by field in saveState()'s
+ * layout, so the restore-side checks see exactly the stored state.
+ */
+std::vector<std::uint8_t>
+tablePayload(const std::vector<StoredEntry> &entries,
+             const std::vector<std::pair<std::uint32_t,
+                                         std::uint32_t>> &index,
+             std::uint64_t spillover, std::uint64_t stream_length,
+             std::uint32_t occupied)
+{
+    ckpt::Writer w;
+    w.u64(entries.size());
+    for (const StoredEntry &e : entries) {
+        w.u32(e.addr);
+        w.u64(e.count);
+    }
+    w.u64(index.size());
+    for (const auto &[row, slot] : index) {
+        w.u32(row);
+        w.u32(slot);
+    }
+    w.u64(spillover);
+    w.u64(stream_length);
+    w.u32(occupied);
+    return w.data();
 }
 
-TEST(CounterTable, CorruptAddressRetargetsTheEntry)
+/** Restore @p payload into a fresh two-entry table. */
+bool
+restores(const std::vector<std::uint8_t> &payload)
 {
     CounterTable t(2);
-    for (int i = 0; i < 4; ++i)
-        t.processActivation(Row{8});
-    const unsigned slot = t.processActivation(Row{8}).slot;
-    ASSERT_NE(slot, CounterTable::kNoSlot);
-
-    // Flip bit 1: the entry now answers for row 10 with row 8's count.
-    ASSERT_TRUE(t.corruptEntryAddress(slot, 1));
-    EXPECT_FALSE(t.contains(Row{8}));
-    EXPECT_TRUE(t.contains(Row{10}));
-    EXPECT_EQ(t.estimatedCount(Row{10}).value(), 5u);
-
-    // An empty slot holds no address bits to flip.
-    CounterTable empty(2);
-    EXPECT_FALSE(empty.corruptEntryAddress(0, 0));
+    ckpt::Reader r(payload);
+    t.restoreState(r);
+    return r.finish().ok();
 }
 
-TEST(CounterTable, CorruptAddressOntoAliasKeepsBothSlots)
+TEST(CounterTable, RestoreAcceptsAReachableState)
 {
-    // Flipping slot A's address onto slot B's produces a CAM with two
-    // matching lines; the earlier-indexed mapping shadows the other,
-    // and subsequent activations must not panic.
-    CounterTable t(2);
-    t.processActivation(Row{4});
-    const unsigned slot_a = t.processActivation(Row{4}).slot;
-    t.processActivation(Row{6});
-    ASSERT_NE(slot_a, CounterTable::kNoSlot);
-
-    t.corruptEntryAddress(slot_a, 1); // 4 -> 6, aliasing the other
-    EXPECT_TRUE(t.contains(Row{6}));
-    for (int i = 0; i < 20; ++i)
-        t.processActivation(Row{6});
-    EXPECT_TRUE(t.contains(Row{6}));
+    // Row 5 hit three times, row 7 twice: what saveState() writes.
+    EXPECT_TRUE(restores(
+        tablePayload({{5, 3}, {7, 2}}, {{5, 0}, {7, 1}}, 0, 5, 2)));
 }
 
-TEST(CounterTable, ScrubHooksRestoreConservativeState)
+TEST(CounterTable, RestoreRejectsAMismatchedIndex)
 {
-    CounterTable t(2);
-    for (int i = 0; i < 6; ++i)
-        t.processActivation(Row{3});
-    t.processActivation(Row{9});
-    t.processActivation(Row{2}); // miss -> spillover 1
-    const unsigned slot = t.processActivation(Row{3}).slot;
+    // Each row indexed at the other's slot: contains() would answer
+    // for the wrong count.
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 2}}, {{5, 1}, {7, 0}}, 0, 5, 2)));
+}
 
-    const Row victim = t.scrubResetEntry(slot);
-    EXPECT_EQ(victim, Row{3});
-    EXPECT_FALSE(t.contains(Row{3}));
-    // The slot rejoined the replacement pool at the spillover count.
-    EXPECT_EQ(t.entries()[slot].count, t.spilloverCount());
+TEST(CounterTable, RestoreRejectsADuplicateRow)
+{
+    // Index and occupancy agree with each other; only the entries
+    // themselves show row 5 twice.
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {5, 2}}, {{5, 0}}, 0, 5, 1)));
+}
 
-    t.scrubSetSpillover(ActCount{0});
-    EXPECT_EQ(t.spilloverCount().value(), 0u);
-    EXPECT_EQ(t.scrubResetEntry(slot), Row::invalid());
+TEST(CounterTable, RestoreRejectsABadOccupancy)
+{
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 2}}, {{5, 0}, {7, 1}}, 0, 5, 1)));
+}
+
+TEST(CounterTable, RestoreRejectsASubSpilloverCount)
+{
+    // Row 7's count sits below the spillover count; a later hit on it
+    // would trip the Lemma 1 precondition.
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 1}}, {{5, 0}, {7, 1}}, 2, 6, 2)));
+}
+
+TEST(CounterTable, SaveRestoreSaveIsByteIdentical)
+{
+    CounterTable t(4);
+    Rng rng(17);
+    for (int i = 0; i < 500; ++i)
+        t.processActivation(Row{static_cast<std::uint32_t>(
+            rng.nextRange(9))});
+    ckpt::Writer first;
+    t.saveState(first);
+
+    CounterTable restored(4);
+    ckpt::Reader r(first.data());
+    restored.restoreState(r);
+    ASSERT_TRUE(r.finish().ok());
+    restored.checkInvariants();
+
+    ckpt::Writer second;
+    restored.saveState(second);
+    EXPECT_EQ(first.data(), second.data());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,8 +14,8 @@
 
 #include "exp/cache.hh"
 #include "exp/fingerprint.hh"
-#include "inject/degradation.hh"
 #include "sim/experiment.hh"
+#include "spec_perturbation.hh"
 
 namespace {
 
@@ -170,7 +170,7 @@ TEST(ExpCache, PerturbedSpecsNeverShareACacheAddress)
     key.fingerprint = sim::schemeSpecDigest(base);
     const std::string base_path = cache.entryPath(key);
 
-    inject::perturbSchemeSpecs(
+    test::perturbSchemeSpecs(
         base, 100, 999, [&](const schemes::SchemeSpec &spec) {
             const bool same_fields =
                 spec.rowHammerThreshold == base.rowHammerThreshold &&

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fingerprint sensitivity: every tagged field's name, type, order,
- * and value must reach the digest, and the fault-injection
+ * and value must reach the digest, and the scheme-spec
  * perturbation corpus must never alias a perturbed scheme spec onto
  * the base spec's fingerprint (a collision there would serve stale
  * cache entries for a different configuration).
@@ -13,8 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "exp/fingerprint.hh"
-#include "inject/degradation.hh"
 #include "sim/experiment.hh"
+#include "spec_perturbation.hh"
 
 namespace {
 
@@ -99,7 +99,7 @@ TEST(ExpFingerprint, DeriveSeedDecorrelates)
 
 /**
  * Satellite: drive the production scheme-spec fingerprint with the
- * fault-injection perturbation corpus. Every perturbed spec that
+ * scheme-spec perturbation corpus. Every perturbed spec that
  * differs from the base in any field must hash differently; specs
  * the perturbation happened to leave unchanged must hash equal.
  */
@@ -110,7 +110,7 @@ TEST(ExpFingerprint, PerturbedSchemeSpecsNeverAliasTheBase)
     const std::uint64_t base_digest = sim::schemeSpecDigest(base);
 
     unsigned changed = 0;
-    inject::perturbSchemeSpecs(
+    test::perturbSchemeSpecs(
         base, 200, 12345,
         [&](const schemes::SchemeSpec &spec) {
             const bool same_fields =

@@ -5,8 +5,8 @@
  * (bad fields, trailing garbage, truncated final record, comment-only
  * or empty input, binary junk, negative rows), and both readTrace()
  * and readActTrace() must reject each with a typed error — never
- * crash, never silently return records. CI runs this corpus under
- * ASan as the injection smoke gate.
+ * crash, never silently return records. CI runs it under ASan with
+ * the rest of the suite.
  */
 
 #include <gtest/gtest.h>

@@ -50,13 +50,13 @@ usage()
     return 2;
 }
 
-/** Kinds that represent scheme/harness decisions, not raw traffic. */
+/** Kinds that represent scheme/controller decisions, not raw
+ *  traffic. */
 bool
 isActionKind(const std::string &kind)
 {
     return kind == "victim-refresh" || kind == "threshold-cross" ||
-           kind == "tracker-reset" || kind == "fault-inject" ||
-           kind == "scrub" || kind == "queue-stall" ||
+           kind == "tracker-reset" || kind == "queue-stall" ||
            kind == "alert";
 }
 
