@@ -85,8 +85,11 @@ main(int argc, char **argv)
                     std::string(policyName(policy)) + "/" +
                     schemes::schemeKindName(kind);
                 job.key.fingerprint = cell.digest();
+                // Replay ignores the context: it neither traces nor
+                // polls the budget.
                 job.body = [geometry, timing, policy, kind, workload,
-                            horizon, trace_seed]() {
+                            horizon,
+                            trace_seed](const exp::CellContext &) {
                     const dram::AddressMapper mapper(geometry);
                     const auto trace = workloads::captureTrace(
                         workload, mapper, horizon, trace_seed);

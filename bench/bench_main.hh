@@ -14,12 +14,11 @@
  *   --ckpt-dir DIR  crash-resume manifest under DIR (grid drivers)
  *   --ckpt-every N  persist the manifest every N completed cells
  *   --resume        serve completed cells from the latest manifest
- *   --timeout-ms T  wall-clock budget per ACT-engine cell (0 =
- *                   unlimited). Only cells with a cancellableBody
- *                   honour it: the attack grids (runAdversarialGrid).
- *                   System-sim cells (runOverheadGrid: fig8's normal
- *                   grid, fig9's system grid) and ablation_scheduler's
- *                   cells ignore it and always run to completion.
+ *   --timeout-ms T  wall-clock budget per grid cell (0 =
+ *                   unlimited). Every runOverheadGrid and
+ *                   runAdversarialGrid cell honours it; only
+ *                   ablation_scheduler's replay cells ignore it and
+ *                   always run to completion.
  *   --retries N     extra attempts after a cell timeout
  *   --no-progress   suppress the live progress line on stderr
  *   --help          usage
@@ -65,8 +64,8 @@ printUsage(const char *prog, std::ostream &os)
        << "  --ckpt-dir DIR  crash-resume manifest under DIR\n"
        << "  --ckpt-every N  persist manifest every N completed cells\n"
        << "  --resume        serve completed cells from the manifest\n"
-       << "  --timeout-ms T  budget per ACT-engine cell (0 = off);\n"
-       << "                  system-sim cells ignore it\n"
+       << "  --timeout-ms T  wall-clock budget per cell (0 = off);\n"
+       << "                  ablation replay cells ignore it\n"
        << "  --retries N     extra attempts after a cell timeout\n"
        << "  --no-progress   no live progress line on stderr\n"
        << "  --help          this message\n";

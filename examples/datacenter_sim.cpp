@@ -48,7 +48,9 @@ main(int argc, char **argv)
               << base.windows * 64.0 << " ms...\n\n";
 
     const auto kinds = schemes::evaluatedSchemes();
-    const auto rows = sim::runOverheadGrid(base, {workload}, kinds);
+    exp::Runner runner;
+    const auto rows =
+        sim::runOverheadGrid(base, {workload}, kinds, runner);
 
     TablePrinter table("Row Hammer defence trade-offs for '" +
                        workload.name + "'");

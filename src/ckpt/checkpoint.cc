@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "ckpt/io.hh"
@@ -196,6 +197,41 @@ loadFile(const std::string &path,
                      strprintf("read failure on checkpoint %s",
                                path.c_str()));
     return decode(bytes, expected_config);
+}
+
+Result<void>
+saveRotated(const std::string &path, std::uint64_t config_fingerprint,
+            const std::vector<std::uint8_t> &payload)
+{
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec))
+        std::filesystem::rename(path, path + ".prev", ec);
+    return saveFile(path, config_fingerprint, payload);
+}
+
+LoadReport
+loadNewest(
+    const std::string &path, std::uint64_t config_fingerprint,
+    const std::function<Result<void>(const std::vector<std::uint8_t> &)>
+        &accept)
+{
+    LoadReport report;
+    for (const std::string &candidate : {path, path + ".prev"}) {
+        std::error_code ec;
+        if (!std::filesystem::exists(candidate, ec))
+            continue;
+        const Result<Blob> blob = loadFile(candidate, config_fingerprint);
+        const Result<void> taken =
+            blob.ok() ? accept(blob.value().payload)
+                      : Result<void>(blob.error());
+        if (taken.ok()) {
+            report.source = candidate;
+            break;
+        }
+        report.notes.push_back(candidate + ": " +
+                               taken.error().describe());
+    }
+    return report;
 }
 
 } // namespace ckpt

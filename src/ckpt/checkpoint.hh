@@ -34,13 +34,17 @@
  *
  * saveFile() writes atomically: tmp file, fsync, rename — so a crash
  * mid-save leaves either the previous artifact or none, never a torn
- * one.
+ * one. saveRotated()/loadNewest() add the generational protocol every
+ * crash-resume artifact (runner and serve manifests, session
+ * checkpoints) shares: keep the previous file as `.prev`, load the
+ * newest valid one.
  */
 
 #ifndef CKPT_CHECKPOINT_HH
 #define CKPT_CHECKPOINT_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -98,6 +102,33 @@ Result<void> saveFile(const std::string &path,
 /** Slurp @p path (Io error on open/read failure) and decode(). */
 Result<Blob> loadFile(const std::string &path,
                       std::optional<std::uint64_t> expected_config);
+
+/**
+ * Rotate @p path to `<path>.prev`, then saveFile(). The rotation is
+ * best effort: if it fails, the atomic write still leaves one valid
+ * artifact, so a crash at any instant leaves a decodable generation.
+ */
+Result<void> saveRotated(const std::string &path,
+                         std::uint64_t config_fingerprint,
+                         const std::vector<std::uint8_t> &payload);
+
+/** What loadNewest() found, for the operator-facing resume note. */
+struct LoadReport
+{
+    std::string source;             ///< Accepted file (empty: none).
+    std::vector<std::string> notes; ///< "<path>: <typed error>" each.
+};
+
+/**
+ * Try @p path, then `<path>.prev`, stopping at the first candidate
+ * that decodes against @p config_fingerprint and whose payload
+ * @p accept takes. An absent candidate leaves no note; a rejected one
+ * (by decode() or by @p accept) leaves its typed describe().
+ */
+LoadReport loadNewest(
+    const std::string &path, std::uint64_t config_fingerprint,
+    const std::function<Result<void>(const std::vector<std::uint8_t> &)>
+        &accept);
 
 } // namespace ckpt
 } // namespace graphene

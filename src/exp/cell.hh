@@ -5,10 +5,11 @@
  * One Cell is one self-contained, independently executable unit of
  * an experiment sweep — e.g. "workload mcf under CBT at T_RH 50K".
  * Its identity is a CellKey (human-readable axes plus a content
- * fingerprint of the full spec); its work is a closure returning a
- * CellResult. Cells never abort the sweep: expected failures
- * (invalid derived configs) come back as CellResult::error, keeping
- * the grid shape (the PR 3 per-cell fault-isolation contract).
+ * fingerprint of the full spec); its work is a closure from a
+ * CellContext (tracing sink, cancellation token) to a CellResult.
+ * Cells never abort the sweep: expected failures (invalid derived
+ * configs) come back as CellResult::error, keeping the grid shape
+ * (the per-cell fault-isolation contract).
  *
  * An ExperimentSpec is one schedulable batch of cells. Sweeps whose
  * later cells consume earlier results (e.g. the overhead grid's
@@ -98,8 +99,32 @@ struct CellResult
 
     bool skipped() const { return !error.empty(); }
 
+    /** Set by the runner when the cell ran out of its wall-clock
+     *  budget. Never persisted: timed-out cells are neither cached
+     *  nor recorded. */
+    bool timedOut = false;
+
     friend bool operator==(const CellResult &,
                            const CellResult &) = default;
+};
+
+/**
+ * What the runner hands one attempt of a cell's body: a tracing sink
+ * and the attempt's cancellation token.
+ */
+struct CellContext
+{
+    /** Events and windowed metrics go here; null when tracing is off.
+     *  The sink never feeds back into the computation, so traced and
+     *  untraced runs return byte-identical results. */
+    obs::Sink *sink = nullptr;
+
+    /** Armed with the per-cell wall-clock budget when one is set
+     *  (RunOptions::cellTimeoutMs). Long bodies poll it at a coarse
+     *  stride and return a skipped result once it trips; a body whose
+     *  input timed out cancels it itself. The runner reports either
+     *  as a timeout. */
+    CancelToken &cancel;
 };
 
 /** One schedulable job. */
@@ -109,29 +134,7 @@ struct Cell
 
     /** The work: must be a pure function of the cell spec (any
      *  randomness seeded via deriveSeed over a spec fingerprint). */
-    std::function<CellResult()> body;
-
-    /**
-     * Optional instrumented variant of the same work: identical
-     * result, but reporting events and windowed metrics into the
-     * given sink. The runner calls this instead of `body` when
-     * tracing is requested (RunOptions::obsDir) — and because the
-     * sink never feeds back into the computation, both variants must
-     * return byte-identical results (CI compares the artifacts).
-     */
-    std::function<CellResult(obs::Sink *)> obsBody;
-
-    /**
-     * Optional cancellable variant of the same work: identical
-     * result when it runs to completion, but polling the token at a
-     * coarse stride and returning early (with a Timeout-flavoured
-     * error result) once it trips. When present, the runner prefers
-     * this over body/obsBody so per-cell wall-clock budgets
-     * (RunOptions::cellTimeoutMs) can interrupt a stuck cell. The
-     * sink may be null (tracing off); the token is never null.
-     */
-    std::function<CellResult(obs::Sink *, const CancelToken &)>
-        cancellableBody;
+    std::function<CellResult(const CellContext &)> body;
 };
 
 /** One batch of independent cells (one DAG layer). */

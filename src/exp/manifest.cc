@@ -31,44 +31,31 @@ Manifest::configFingerprint() const
     return fp.digest();
 }
 
-Manifest::LoadReport
+ckpt::LoadReport
 Manifest::load()
 {
-    LoadReport report;
     _records.clear();
-
-    const std::string newest = pathFor(_dir);
-    const std::string candidates[] = {newest, newest + ".prev"};
-    for (const std::string &path : candidates) {
-        const Result<ckpt::Blob> blob =
-            ckpt::loadFile(path, configFingerprint());
-        if (!blob.ok()) {
-            if (blob.error().code() != ErrorCode::Io ||
-                fs::exists(path))
-                report.notes.push_back(
-                    path + ": " + blob.error().describe());
-            continue;
-        }
-        ckpt::Reader r(blob.value().payload);
-        std::map<std::uint64_t, std::string> records;
-        const std::uint64_t count = r.u64();
-        if (count > r.remaining())
-            r.fail();
-        for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
-            const std::uint64_t fp = r.u64();
-            records[fp] = r.str();
-        }
-        if (!r.finish().ok()) {
-            report.notes.push_back(
-                path + ": " + r.finish().error().describe());
-            continue;
-        }
-        _records = std::move(records);
-        report.cells = _records.size();
-        report.source = path;
-        return report;
-    }
-    return report;
+    return ckpt::loadNewest(
+        pathFor(_dir), configFingerprint(),
+        [this](const std::vector<std::uint8_t> &payload) {
+            ckpt::Reader r(payload);
+            std::map<std::uint64_t, std::string> records;
+            const std::uint64_t count = r.u64();
+            if (count > r.remaining())
+                r.fail();
+            for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
+                // persist() writes fingerprints strictly ascending;
+                // a duplicate or out-of-order one is not its output.
+                const std::uint64_t fp = r.u64();
+                if (!records.empty() && fp <= records.rbegin()->first)
+                    r.fail();
+                records.emplace_hint(records.end(), fp, r.str());
+            }
+            const Result<void> fin = r.finish();
+            if (fin.ok())
+                _records = std::move(records);
+            return fin;
+        });
 }
 
 std::optional<CellResult>
@@ -109,14 +96,8 @@ Manifest::persist()
         w.str(line);
     }
 
-    // Rotate before writing: if the process dies mid-save, the
-    // previous complete manifest survives as `.prev` and load()
-    // falls back to it.
-    const std::string path = pathFor(_dir);
-    if (fs::exists(path))
-        fs::rename(path, path + ".prev", ec); // best-effort rotation
-
-    return ckpt::saveFile(path, configFingerprint(), w.data());
+    return ckpt::saveRotated(pathFor(_dir), configFingerprint(),
+                             w.data());
 }
 
 } // namespace exp

@@ -14,13 +14,10 @@
  * byte-identical primary artifact, because record lines are pure
  * functions of the cell spec.
  *
- * Durability discipline: persist() first rotates the current file to
- * `.prev` and then writes the new one atomically (tmp + fsync +
- * rename). A crash at any instant leaves at least one decodable
- * manifest; load() tries the newest first and falls back, rejecting
- * torn or corrupted files with the typed ckpt errors rather than
- * resuming from garbage. Timed-out cells are never recorded — a
- * resume retries them from scratch.
+ * Durability is ckpt::saveRotated/loadNewest: a crash at any instant
+ * leaves a decodable generation, and torn or corrupted files are
+ * rejected with typed notes rather than resumed from. Timed-out cells
+ * are never recorded — a resume retries them from scratch.
  */
 
 #ifndef EXP_MANIFEST_HH
@@ -32,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "common/error.hh"
 #include "exp/cell.hh"
 
@@ -41,14 +39,6 @@ namespace exp {
 class Manifest
 {
   public:
-    /** What load() recovered, for the operator-facing resume note. */
-    struct LoadReport
-    {
-        std::size_t cells = 0;   ///< Records recovered.
-        std::string source;      ///< File they came from (empty: none).
-        std::vector<std::string> notes; ///< Rejected-candidate reasons.
-    };
-
     /**
      * @param dir directory holding `manifest.gckp` (created on the
      *        first persist).
@@ -61,7 +51,10 @@ class Manifest
 
     /** Load the newest valid manifest (`manifest.gckp`, then
      *  `.prev`), replacing any in-memory records. */
-    LoadReport load();
+    ckpt::LoadReport load();
+
+    /** Number of recorded cells. */
+    std::size_t size() const { return _records.size(); }
 
     /** The recorded result for @p key, if the cell completed. */
     std::optional<CellResult> lookup(const CellKey &key) const;

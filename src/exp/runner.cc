@@ -195,7 +195,7 @@ Runner::openManifest()
     _manifest.emplace(_options.ckptDir, _options.versionTag);
     if (!_options.resume)
         return;
-    const Manifest::LoadReport report = _manifest->load();
+    const ckpt::LoadReport report = _manifest->load();
     if (_options.progress) {
         std::ostream &os = _options.progressStream
                                ? *_options.progressStream
@@ -203,7 +203,7 @@ Runner::openManifest()
         for (const std::string &note : report.notes)
             os << "[ckpt] rejected manifest: " << note << "\n";
         if (!report.source.empty())
-            os << "[ckpt] resuming " << report.cells
+            os << "[ckpt] resuming " << _manifest->size()
                << " completed cell(s) from " << report.source << "\n";
     }
 }
@@ -301,10 +301,10 @@ Runner::run(const ExperimentSpec &spec)
         }
 
         // Execute, under a cooperative wall-clock budget when one is
-        // configured and the cell can honour it; a timed-out attempt
-        // is retried a bounded number of times.
-        const bool budgeted =
-            _options.cellTimeoutMs > 0.0 && cell.cancellableBody;
+        // configured; a timed-out attempt is retried a bounded number
+        // of times. A skipped result on a cancelled token is a
+        // timeout, whether the budget tripped it or the body did.
+        const bool budgeted = _options.cellTimeoutMs > 0.0;
         const unsigned max_attempts =
             1 + (budgeted ? _options.cellRetries : 0);
         bool timed_out = false;
@@ -317,25 +317,17 @@ Runner::run(const ExperimentSpec &spec)
                         CancelToken::Clock::duration>(
                         std::chrono::duration<double, std::milli>(
                             _options.cellTimeoutMs)));
-            if (use_obs &&
-                (cell.cancellableBody || cell.obsBody)) {
-                obs::Sink sink(_options.obsRingCapacity);
-                results[i] = cell.cancellableBody
-                                 ? cell.cancellableBody(&sink, token)
-                                 : cell.obsBody(&sink);
-                timed_out = budgeted && token.cancelled() &&
-                            results[i].skipped();
-                if (!timed_out)
-                    writeCellTrace(_options.obsDir, cell.key, sink,
-                                   profiles[i]);
-            } else {
-                results[i] =
-                    cell.cancellableBody
-                        ? cell.cancellableBody(nullptr, token)
-                        : cell.body();
-                timed_out = budgeted && token.cancelled() &&
-                            results[i].skipped();
-            }
+            std::optional<obs::Sink> sink;
+            if (use_obs)
+                sink.emplace(_options.obsRingCapacity);
+            results[i] = cell.body({sink ? &*sink : nullptr, token});
+            timed_out = token.cancelled() && results[i].skipped();
+            // A cell that never opened the sink's windows did not
+            // trace, and leaves no trace files behind.
+            if (sink && !timed_out &&
+                sink->metrics.windowCycles() != Cycle{})
+                writeCellTrace(_options.obsDir, cell.key, *sink,
+                               profiles[i]);
             if (!timed_out || attempt >= max_attempts)
                 break;
         }
@@ -349,7 +341,8 @@ Runner::run(const ExperimentSpec &spec)
                                     "budget (%u attempt(s))",
                                     _options.cellTimeoutMs,
                                     max_attempts))
-                        .describe()};
+                        .describe(),
+                true};
             timeouts.fetch_add(1, std::memory_order_relaxed);
             // Neither cached nor recorded: a resume retries it.
             finish_cell(kTimeout);

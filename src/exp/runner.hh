@@ -54,7 +54,7 @@ struct RunOptions
 
     /**
      * Observability output directory; empty = tracing off. Each
-     * executed cell with an obsBody writes
+     * executed cell that opens its sink's metric windows writes
      * `<obsDir>/<experiment>_<workload>_<scheme>_<fp>.events.jsonl`
      * (+ `.trace.json`, `.metrics.jsonl`). Cache hits never execute,
      * so they produce no trace — run with a cold cache (or none) to
@@ -91,11 +91,12 @@ struct RunOptions
 
     /**
      * Per-cell wall-clock budget in milliseconds; 0 = unlimited.
-     * Needs cells with a cancellableBody — the budget is enforced
-     * cooperatively (CancelToken deadline), never by killing
-     * threads. A timed-out cell reports an ErrorCode::Timeout-style
-     * error result and is neither cached nor recorded in the
-     * manifest, so a later resume retries it from scratch.
+     * Enforced cooperatively through CellContext::cancel (a
+     * CancelToken deadline the body polls), never by killing
+     * threads; a body that never polls runs to completion. A
+     * timed-out cell reports an ErrorCode::Timeout-style error result
+     * and is neither cached nor recorded in the manifest, so a later
+     * resume retries it from scratch.
      */
     double cellTimeoutMs = 0.0;
 

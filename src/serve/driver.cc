@@ -173,7 +173,7 @@ ServeDriver::admit(const SessionSpec &spec)
 Result<void>
 ServeDriver::admitFromManifest(RunReport &report)
 {
-    const Manifest::LoadReport loaded = _manifest.load();
+    const ckpt::LoadReport loaded = _manifest.load();
     for (const std::string &note : loaded.notes)
         report.notes.push_back("manifest: " + note);
     if (loaded.source.empty())
@@ -208,13 +208,13 @@ ServeDriver::startSessions(RunReport &report)
             continue;
         slot.session->attachAlertRules(&_rules);
         if (_opts.resume) {
-            Result<Session::ResumeReport> resumed =
+            Result<ckpt::LoadReport> resumed =
                 slot.session->startResumed();
             if (!resumed.ok()) {
                 slot.note = resumed.error().describe();
                 continue;
             }
-            if (resumed.value().resumed)
+            if (!resumed.value().source.empty())
                 ++report.resumed;
             for (const std::string &note : resumed.value().notes)
                 report.notes.push_back(

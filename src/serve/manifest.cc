@@ -64,6 +64,10 @@ Manifest::decodePayload(const std::vector<std::uint8_t> &payload)
     for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
         Entry entry;
         entry.spec = SessionSpec::load(r);
+        // encodePayload() writes ids strictly ascending; a duplicate
+        // or out-of-order id is not its output.
+        if (!entries.empty() && entry.spec.id <= entries.back().spec.id)
+            r.fail();
         const std::uint8_t state = r.u8();
         if (state > static_cast<std::uint8_t>(Session::State::Failed))
             r.fail();
@@ -78,40 +82,20 @@ Manifest::decodePayload(const std::vector<std::uint8_t> &payload)
     return entries;
 }
 
-Manifest::LoadReport
+ckpt::LoadReport
 Manifest::load()
 {
-    LoadReport report;
     _entries.clear();
-
-    const std::string newest = pathFor(_dir);
-    const std::string candidates[] = {newest, newest + ".prev"};
-    for (const std::string &path : candidates) {
-        const Result<ckpt::Blob> blob =
-            ckpt::loadFile(path, configFingerprint());
-        if (!blob.ok()) {
-            // A simply-absent candidate is not worth a note; a
-            // present-but-rejected one is.
-            if (blob.error().code() != ErrorCode::Io ||
-                fs::exists(path))
-                report.notes.push_back(
-                    path + ": " + blob.error().describe());
-            continue;
-        }
-        Result<std::vector<Entry>> decoded =
-            decodePayload(blob.value().payload);
-        if (!decoded.ok()) {
-            report.notes.push_back(
-                path + ": " + decoded.error().describe());
-            continue;
-        }
-        for (Entry &entry : decoded.value())
-            _entries[entry.spec.id] = std::move(entry);
-        report.sessions = _entries.size();
-        report.source = path;
-        return report;
-    }
-    return report;
+    return ckpt::loadNewest(
+        pathFor(_dir), configFingerprint(),
+        [this](const std::vector<std::uint8_t> &payload) {
+            Result<std::vector<Entry>> decoded = decodePayload(payload);
+            if (!decoded.ok())
+                return Result<void>(decoded.error());
+            for (Entry &entry : decoded.value())
+                _entries[entry.spec.id] = std::move(entry);
+            return Result<void>::success();
+        });
 }
 
 void
@@ -135,14 +119,8 @@ Manifest::persist()
     for (const auto &[id, entry] : _entries)
         entries.push_back(entry);
 
-    // Rotate before writing, same discipline as exp::Manifest: a
-    // death mid-save leaves `.prev` decodable.
-    const std::string path = pathFor(_dir);
-    if (fs::exists(path))
-        fs::rename(path, path + ".prev", ec); // best-effort rotation
-
-    return ckpt::saveFile(path, configFingerprint(),
-                          encodePayload(entries));
+    return ckpt::saveRotated(pathFor(_dir), configFingerprint(),
+                             encodePayload(entries));
 }
 
 } // namespace serve

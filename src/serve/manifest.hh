@@ -11,11 +11,9 @@
  * the manifest is the directory of who exists, not a second copy of
  * their state.
  *
- * Same container and durability discipline as exp::Manifest: a
- * ckpt::encode artifact fingerprinted with a code-version tag
- * (version skew rejects as CkptConfigMismatch), rotated to `.prev`
- * before each atomic write, loaded newest-first with typed rejection
- * of torn or corrupted candidates. The payload codec is exposed
+ * Same container and ckpt::saveRotated/loadNewest durability as
+ * exp::Manifest, fingerprinted with a code-version tag (version skew
+ * rejects as CkptConfigMismatch). The payload codec is exposed
  * (encodePayload/decodePayload) so the corrupt-corpus generator can
  * build well-formed serve manifests to damage.
  */
@@ -28,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "common/error.hh"
 #include "serve/session.hh"
 
@@ -46,20 +45,12 @@ class Manifest
         std::string failure;
     };
 
-    /** What load() recovered, for the operator-facing resume note. */
-    struct LoadReport
-    {
-        std::size_t sessions = 0; ///< Entries recovered.
-        std::string source;  ///< File they came from (empty: none).
-        std::vector<std::string> notes; ///< Rejection reasons.
-    };
-
     /** @param dir directory holding `serve_manifest.gckp`. */
     explicit Manifest(std::string dir);
 
     /** Load the newest valid manifest (primary, then `.prev`),
      *  replacing any in-memory entries. */
-    LoadReport load();
+    ckpt::LoadReport load();
 
     /** Upsert one session's roster row (persist() saves). */
     void record(const Entry &entry);

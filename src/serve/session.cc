@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <initializer_list>
 #include <utility>
 
 #include "ckpt/checkpoint.hh"
@@ -303,50 +302,36 @@ Session::start()
     return Result<void>::success();
 }
 
-Result<Session::ResumeReport>
+Result<ckpt::LoadReport>
 Session::startResumed()
 {
-    ResumeReport report;
-    const std::string primary = ckptPath();
-    for (const std::string &cand : {primary, primary + ".prev"}) {
-        // Rebuild from scratch per candidate: a half-applied restore
-        // must never leak into the next attempt.
-        Result<void> built = build();
-        if (!built.ok())
-            return built.error();
-        Result<ckpt::Blob> blob =
-            ckpt::loadFile(cand, _spec.fingerprint());
-        if (!blob.ok()) {
-            report.notes.push_back(cand + ": " +
-                                   blob.error().message());
-            continue;
-        }
-        ckpt::Reader r(blob.value().payload);
-        restorePayload(r);
-        const Result<void> fin = r.finish();
-        if (!fin.ok()) {
-            report.notes.push_back(cand + ": " +
-                                   fin.error().message());
-            continue;
-        }
-        Result<void> trunc = truncateJsonlTo(_linesEmitted);
-        if (!trunc.ok())
-            return trunc.error();
-        Result<void> opened = openJsonl(/*truncate=*/false);
-        if (!opened.ok())
-            return opened.error();
-        _state = _finalized ? State::Done : State::Active;
-        report.resumed = true;
+    const ckpt::LoadReport report = ckpt::loadNewest(
+        ckptPath(), _spec.fingerprint(),
+        [this](const std::vector<std::uint8_t> &payload) {
+            // Rebuild from scratch per candidate: a half-applied
+            // restore must never leak into the next attempt. A build
+            // error recurs on the fresh start below, which returns it.
+            Result<void> built = build();
+            if (!built.ok())
+                return built;
+            ckpt::Reader r(payload);
+            restorePayload(r);
+            return r.finish();
+        });
+    if (report.source.empty()) {
+        // No usable artifact: fresh restart (the notes say why).
+        Result<void> started = start();
+        if (!started.ok())
+            return started.error();
         return report;
     }
-    // No usable artifact: fresh restart (the notes say why).
-    Result<void> built = build();
-    if (!built.ok())
-        return built.error();
-    Result<void> opened = openJsonl(/*truncate=*/true);
+    Result<void> trunc = truncateJsonlTo(_linesEmitted);
+    if (!trunc.ok())
+        return trunc.error();
+    Result<void> opened = openJsonl(/*truncate=*/false);
     if (!opened.ok())
         return opened.error();
-    _state = State::Active;
+    _state = _finalized ? State::Done : State::Active;
     return report;
 }
 
@@ -612,13 +597,7 @@ Session::checkpoint()
     ckpt::Writer w;
     savePayload(w);
 
-    const std::string path = ckptPath();
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec))
-        std::filesystem::rename(path, path + ".prev", ec);
-    // A failed rotation is not fatal — the atomic write below still
-    // leaves one valid artifact either way.
-    return ckpt::saveFile(path, _spec.fingerprint(), w.data());
+    return ckpt::saveRotated(ckptPath(), _spec.fingerprint(), w.data());
 }
 
 Result<void>

@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/checkpoint.hh"
 #include "obs/alerts.hh"
 #include "obs/obs.hh"
 #include "schemes/factory.hh"
@@ -186,19 +187,14 @@ class Session
     /** Start fresh: truncate the JSONL, build source and engine. */
     Result<void> start();
 
-    struct ResumeReport
-    {
-        bool resumed = false; ///< False: no usable ckpt, fresh start.
-        std::vector<std::string> notes; ///< Rejected-artifact reasons.
-    };
-
     /**
      * Start from the newest valid checkpoint (`.gckp`, then
      * `.prev`), truncating the JSONL to the durable line count; falls
      * back to a fresh start — with the rejection reasons reported —
-     * when no artifact decodes (never resumes from garbage).
+     * when no artifact decodes (never resumes from garbage). An empty
+     * report source means the session started fresh.
      */
-    Result<ResumeReport> startResumed();
+    Result<ckpt::LoadReport> startResumed();
 
     /**
      * Start as a warm fork: replay @p payload (a fork artifact's

@@ -110,7 +110,8 @@ addSystemTrafficFields(exp::Fingerprint &fp,
     // and protected runs derive the same request stream; the scheme
     // axis enters the *cell* digest via addSchemeFields.
     // analyze: fp-exempt(obs) — the tracing sink never influences
-    // results (obsBody contract), so it must not split cache keys.
+    // results (CellContext::sink contract), so it must not split
+    // cache keys.
     fp.field("numCores",
              static_cast<std::uint64_t>(config.numCores))
         .field("windows", config.windows)
@@ -213,6 +214,12 @@ exp::CellResult
 toCellResult(const SystemResult &r)
 {
     exp::CellResult out;
+    if (r.cancelled) {
+        out.error = Error(ErrorCode::Timeout,
+                          "system run cancelled mid-run")
+                        .describe();
+        return out;
+    }
     out.stats.acts = r.acts;
     out.stats.requests = r.requests;
     out.stats.victimRowsRefreshed = r.victimRowsRefreshed;
@@ -292,22 +299,17 @@ runOverheadGrid(const SystemConfig &base,
                         schemes::SchemeKind::None),
                     systemCellDigest(base, workload,
                                      schemes::SchemeKind::None)};
-        // One closure serves both entry points: `body` is the
-        // untraced call, `obsBody` the traced one. The sink never
-        // feeds back into the run, so both yield identical results.
-        const auto run_cell = [none, workload,
-                               traffic_seed](obs::Sink *sink) {
+        cell.body = [none, workload,
+                     traffic_seed](const exp::CellContext &ctx) {
             const Result<void> valid = schemes::validateSchemeSpec(
                 cellSpec(none, schemes::SchemeKind::None));
             if (!valid.ok())
                 return skippedCell(valid.error().describe());
             SystemConfig config = none;
             config.seed = traffic_seed;
-            config.obs = sink;
-            return toCellResult(runSystem(config, workload));
+            config.obs = ctx.sink;
+            return toCellResult(runSystem(config, workload, &ctx.cancel));
         };
-        cell.body = [run_cell]() { return run_cell(nullptr); };
-        cell.obsBody = run_cell;
         baselines.cells.push_back(std::move(cell));
     }
     const std::vector<exp::CellResult> baseline_results =
@@ -331,12 +333,17 @@ runOverheadGrid(const SystemConfig &base,
             cell.key = {label, workload.name,
                         schemes::schemeKindName(kind),
                         systemCellDigest(base, workload, kind)};
-            const auto run_cell = [protected_config, workload,
-                                   traffic_seed, baseline,
-                                   kind](obs::Sink *sink) {
-                if (baseline.skipped())
+            cell.body = [protected_config, workload, traffic_seed,
+                         baseline,
+                         kind](const exp::CellContext &ctx) {
+                if (baseline.skipped()) {
+                    // A timed-out baseline times this cell out too,
+                    // so neither is cached or recorded.
+                    if (baseline.timedOut)
+                        ctx.cancel.cancel();
                     return skippedCell("baseline: " +
                                        baseline.error);
+                }
                 const Result<void> valid =
                     schemes::validateSchemeSpec(
                         cellSpec(protected_config, kind));
@@ -345,19 +352,19 @@ runOverheadGrid(const SystemConfig &base,
 
                 SystemConfig config = protected_config;
                 config.seed = traffic_seed;
-                config.obs = sink;
-                const SystemResult r = runSystem(config, workload);
+                config.obs = ctx.sink;
+                const SystemResult r =
+                    runSystem(config, workload, &ctx.cancel);
 
                 SystemResult baseline_result;
                 baseline_result.coreRequests =
                     baseline.stats.coreRequests;
                 exp::CellResult out = toCellResult(r);
-                out.stats.perfLoss =
-                    r.speedupLossVs(baseline_result);
+                if (!out.skipped())
+                    out.stats.perfLoss =
+                        r.speedupLossVs(baseline_result);
                 return out;
             };
-            cell.body = [run_cell]() { return run_cell(nullptr); };
-            cell.obsBody = run_cell;
             grid.cells.push_back(std::move(cell));
         }
     }
@@ -368,15 +375,6 @@ runOverheadGrid(const SystemConfig &base,
     for (std::size_t i = 0; i < results.size(); ++i)
         rows.push_back(toOverheadRow(grid.cells[i].key, results[i]));
     return rows;
-}
-
-std::vector<OverheadRow>
-runOverheadGrid(const SystemConfig &base,
-                const std::vector<workloads::WorkloadSpec> &suite,
-                const std::vector<schemes::SchemeKind> &kinds)
-{
-    exp::Runner runner;
-    return runOverheadGrid(base, suite, kinds, runner);
 }
 
 std::vector<OverheadRow>
@@ -408,44 +406,26 @@ runAdversarialGrid(const ActEngineConfig &base,
                         schemes::schemeKindName(kind),
                         actCellDigest(base, pi, pattern_names[pi],
                                       seed, kind)};
-            const auto run_cell =
-                [base, kind, pi, pattern_seed](
-                    obs::Sink *sink, const CancelToken *cancel) {
-                    const Result<void> valid =
-                        schemes::validateSchemeSpec(
-                            cellSpec(base, kind));
-                    if (!valid.ok())
-                        return skippedCell(
-                            valid.error().describe());
+            cell.body = [base, kind, pi,
+                         pattern_seed](const exp::CellContext &ctx) {
+                const Result<void> valid =
+                    schemes::validateSchemeSpec(cellSpec(base, kind));
+                if (!valid.ok())
+                    return skippedCell(valid.error().describe());
 
-                    auto suite =
-                        workloads::patterns::adversarialSuite(
-                            base.rowsPerBank, pattern_seed);
-                    ActEngineConfig config = base;
-                    config.scheme.kind = kind;
-                    config.obs = sink;
-                    ActStreamEngine engine(config, *suite[pi]);
-                    if (cancel && !engine.runCancellable(*cancel))
-                        return skippedCell(
-                            Error(ErrorCode::Timeout,
-                                  "ACT stream cancelled mid-run")
-                                .describe());
-                    if (!cancel)
-                        while (engine.step()) {
-                        }
-                    return toCellResult(engine.finish());
-                };
-            cell.body = [run_cell]() {
-                return run_cell(nullptr, nullptr);
+                auto suite = workloads::patterns::adversarialSuite(
+                    base.rowsPerBank, pattern_seed);
+                ActEngineConfig config = base;
+                config.scheme.kind = kind;
+                config.obs = ctx.sink;
+                ActStreamEngine engine(config, *suite[pi]);
+                if (!engine.runCancellable(ctx.cancel))
+                    return skippedCell(
+                        Error(ErrorCode::Timeout,
+                              "ACT stream cancelled mid-run")
+                            .describe());
+                return toCellResult(engine.finish());
             };
-            cell.obsBody = [run_cell](obs::Sink *sink) {
-                return run_cell(sink, nullptr);
-            };
-            cell.cancellableBody =
-                [run_cell](obs::Sink *sink,
-                           const CancelToken &cancel) {
-                    return run_cell(sink, &cancel);
-                };
             grid.cells.push_back(std::move(cell));
         }
     }
@@ -456,15 +436,6 @@ runAdversarialGrid(const ActEngineConfig &base,
     for (std::size_t i = 0; i < results.size(); ++i)
         rows.push_back(toOverheadRow(grid.cells[i].key, results[i]));
     return rows;
-}
-
-std::vector<OverheadRow>
-runAdversarialGrid(const ActEngineConfig &base,
-                   const std::vector<schemes::SchemeKind> &kinds,
-                   std::uint64_t seed)
-{
-    exp::Runner runner;
-    return runAdversarialGrid(base, kinds, seed, runner);
 }
 
 } // namespace sim

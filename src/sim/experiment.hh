@@ -60,7 +60,9 @@ struct OverheadRow
  * baseline per workload for the performance metric) on @p runner.
  * Cells whose scheme spec fails validation are reported via
  * OverheadRow::error rather than run; @p label names the stage in
- * artifacts and progress output.
+ * artifacts and progress output. Cells honour the runner's per-cell
+ * budget, and a protected cell whose baseline timed out times out
+ * too: neither is cached nor recorded.
  */
 std::vector<OverheadRow>
 runOverheadGrid(const SystemConfig &base,
@@ -68,15 +70,6 @@ runOverheadGrid(const SystemConfig &base,
                 const std::vector<schemes::SchemeKind> &kinds,
                 exp::Runner &runner,
                 const std::string &label = "overhead-grid");
-
-/**
- * Convenience overload: a default runner (one worker per hardware
- * thread, no cache, no artifacts).
- */
-std::vector<OverheadRow>
-runOverheadGrid(const SystemConfig &base,
-                const std::vector<workloads::WorkloadSpec> &suite,
-                const std::vector<schemes::SchemeKind> &kinds);
 
 /**
  * Run every adversarial ACT pattern under every scheme via the
@@ -90,12 +83,6 @@ runAdversarialGrid(const ActEngineConfig &base,
                    const std::vector<schemes::SchemeKind> &kinds,
                    std::uint64_t seed, exp::Runner &runner,
                    const std::string &label = "adversarial-grid");
-
-/** Convenience overload with a default runner. */
-std::vector<OverheadRow>
-runAdversarialGrid(const ActEngineConfig &base,
-                   const std::vector<schemes::SchemeKind> &kinds,
-                   std::uint64_t seed);
 
 /**
  * Content fingerprint of a scheme spec — the scheme-axis

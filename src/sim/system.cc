@@ -4,6 +4,7 @@
 #include <memory>
 #include <queue>
 
+#include "common/cancel.hh"
 #include "common/logging.hh"
 #include "model/energy.hh"
 
@@ -58,7 +59,8 @@ SystemConfig::validate() const
 
 SystemResult
 runSystem(const SystemConfig &config,
-          const workloads::WorkloadSpec &workload)
+          const workloads::WorkloadSpec &workload,
+          const CancelToken *cancel)
 {
     const Result<void> valid = config.validate();
     GRAPHENE_CHECK(valid.ok(),
@@ -120,7 +122,12 @@ runSystem(const SystemConfig &config,
     SystemResult result;
     result.coreRequests.assign(config.numCores, 0);
 
+    std::uint32_t tick = 0;
     while (!queue.empty()) {
+        if ((++tick & 0x1fffu) == 0 && cancel && cancel->cancelled()) {
+            result.cancelled = true;
+            return result;
+        }
         const auto [issue, core] = queue.top();
         queue.pop();
         if (issue >= horizon)

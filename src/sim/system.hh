@@ -28,6 +28,9 @@
 #include "workloads/profiles.hh"
 
 namespace graphene {
+
+class CancelToken;
+
 namespace sim {
 
 /** Static configuration of a full-system run (Table III defaults). */
@@ -82,6 +85,10 @@ struct SystemResult
     double refreshEnergyOverhead = 0.0;
     double windows = 0.0;
 
+    /** Stopped early by the cancel token: every other field is
+     *  partial and must not be reported. */
+    bool cancelled = false;
+
     /**
      * Weighted-speedup loss versus @p baseline (an unprotected run
      * of the same configuration): 1 - WS / numCores.
@@ -89,9 +96,14 @@ struct SystemResult
     double speedupLossVs(const SystemResult &baseline) const;
 };
 
-/** Run @p workload on a system configured by @p config. */
+/**
+ * Run @p workload on a system configured by @p config. With
+ * @p cancel set, the token is polled every 8192 requests and the run
+ * stops early (SystemResult::cancelled) once it trips.
+ */
 SystemResult runSystem(const SystemConfig &config,
-                       const workloads::WorkloadSpec &workload);
+                       const workloads::WorkloadSpec &workload,
+                       const CancelToken *cancel = nullptr);
 
 } // namespace sim
 } // namespace graphene

@@ -11,7 +11,12 @@
  *    and reproduces the cold JSONL artifact byte for byte;
  *  - a stuck cell exhausts its wall-clock budget, is retried the
  *    bounded number of times, reports a Timeout-typed error, and is
- *    never recorded — a later resume retries it from scratch.
+ *    never recorded — a later resume retries it from scratch;
+ *  - system-grid cells honour the budget too, a cell whose baseline
+ *    timed out is itself a timeout, and a budget-free resume then
+ *    reproduces the cold artifact;
+ *  - a manifest whose fingerprints persist() could not have written
+ *    (duplicate or out of order) is rejected.
  */
 
 #include <atomic>
@@ -23,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.hh"
+#include "ckpt/io.hh"
 #include "common/cancel.hh"
 #include "exp/manifest.hh"
 #include "exp/runner.hh"
@@ -81,8 +88,8 @@ TEST(Manifest, RoundTripsRecordedCells)
         ASSERT_TRUE(saved.ok()) << saved.error().describe();
     }
     exp::Manifest reloaded(dir, kTag);
-    const exp::Manifest::LoadReport report = reloaded.load();
-    EXPECT_EQ(report.cells, 3u);
+    const ckpt::LoadReport report = reloaded.load();
+    EXPECT_EQ(reloaded.size(), 3u);
     EXPECT_EQ(report.source, exp::Manifest::pathFor(dir));
     EXPECT_TRUE(report.notes.empty());
     for (std::uint64_t fp = 1; fp <= 3; ++fp) {
@@ -97,8 +104,8 @@ TEST(Manifest, LoadOnAnEmptyDirectoryIsQuietlyEmpty)
 {
     const std::string dir = freshDir("manifest_empty");
     exp::Manifest m(dir, kTag);
-    const exp::Manifest::LoadReport report = m.load();
-    EXPECT_EQ(report.cells, 0u);
+    const ckpt::LoadReport report = m.load();
+    EXPECT_EQ(m.size(), 0u);
     EXPECT_TRUE(report.source.empty());
     EXPECT_TRUE(report.notes.empty());
 }
@@ -112,8 +119,8 @@ TEST(Manifest, RejectsAManifestFromADifferentCodeVersion)
         ASSERT_TRUE(m.persist().ok());
     }
     exp::Manifest m(dir, kTag);
-    const exp::Manifest::LoadReport report = m.load();
-    EXPECT_EQ(report.cells, 0u);
+    const ckpt::LoadReport report = m.load();
+    EXPECT_EQ(m.size(), 0u);
     EXPECT_TRUE(report.source.empty());
     ASSERT_FALSE(report.notes.empty());
     EXPECT_NE(report.notes.front().find("mismatch"),
@@ -140,12 +147,60 @@ TEST(Manifest, FallsBackToPrevWhenTheNewestFileIsTorn)
     }
 
     exp::Manifest reloaded(dir, kTag);
-    const exp::Manifest::LoadReport report = reloaded.load();
-    EXPECT_EQ(report.cells, 1u);
+    const ckpt::LoadReport report = reloaded.load();
+    EXPECT_EQ(reloaded.size(), 1u);
     EXPECT_EQ(report.source, exp::Manifest::pathFor(dir) + ".prev");
     ASSERT_FALSE(report.notes.empty());
     EXPECT_TRUE(reloaded.lookup(keyFor(1)).has_value());
     EXPECT_FALSE(reloaded.lookup(keyFor(2)).has_value());
+}
+
+/** Overwrite @p dir's manifest with a hand-built payload listing
+ *  @p fps in the given order, framed like a real persist(). */
+void
+writeRecords(const std::string &dir,
+             const std::vector<std::uint64_t> &fps)
+{
+    const std::string path = exp::Manifest::pathFor(dir);
+    exp::Manifest m(dir, kTag);
+    ASSERT_TRUE(m.persist().ok());
+    const Result<ckpt::Blob> framing =
+        ckpt::loadFile(path, std::nullopt);
+    ASSERT_TRUE(framing.ok());
+    ckpt::Writer w;
+    w.u64(fps.size());
+    for (const std::uint64_t fp : fps) {
+        w.u64(fp);
+        w.str(exp::cellRecordLine(keyFor(fp), resultFor(fp)));
+    }
+    ASSERT_TRUE(ckpt::saveFile(path, framing.value().configFingerprint,
+                               w.data())
+                    .ok());
+    std::filesystem::remove(path + ".prev");
+}
+
+TEST(Manifest, RejectsDuplicateOrUnsortedCellFingerprints)
+{
+    const std::string dir = freshDir("manifest_dupes");
+    writeRecords(dir, {1, 2});
+    exp::Manifest sane(dir, kTag);
+    ASSERT_FALSE(sane.load().source.empty());
+    EXPECT_EQ(sane.size(), 2u);
+
+    // persist() writes each fingerprint once, ascending; anything
+    // else is not its output and must not be resumed from.
+    for (const auto &fps : {std::vector<std::uint64_t>{1, 1},
+                            std::vector<std::uint64_t>{2, 1}}) {
+        writeRecords(dir, fps);
+        exp::Manifest m(dir, kTag);
+        const ckpt::LoadReport report = m.load();
+        EXPECT_TRUE(report.source.empty()) << fps[0] << "," << fps[1];
+        ASSERT_EQ(report.notes.size(), 1u);
+        EXPECT_NE(report.notes[0].find("ckpt-truncated"),
+                  std::string::npos)
+            << report.notes[0];
+        EXPECT_EQ(m.size(), 0u);
+    }
 }
 
 // ---- runner-level resume ------------------------------------------
@@ -159,7 +214,7 @@ countingSpec(std::atomic<unsigned> &executions)
     for (std::uint64_t fp = 1; fp <= 4; ++fp) {
         exp::Cell cell;
         cell.key = keyFor(fp);
-        cell.body = [fp, &executions]() {
+        cell.body = [fp, &executions](const exp::CellContext &) {
             executions.fetch_add(1);
             return resultFor(fp);
         };
@@ -223,7 +278,8 @@ TEST(RunnerResume, PartialManifestRecomputesOnlyTheMissingCells)
 
     // The finished run persisted a now-complete manifest.
     exp::Manifest after(ckpt, kTag);
-    EXPECT_EQ(after.load().cells, 4u);
+    after.load();
+    EXPECT_EQ(after.size(), 4u);
 }
 
 TEST(RunnerResume, ResumedAdversarialGridMatchesColdByteForByte)
@@ -276,14 +332,10 @@ TEST(RunnerTimeout, StuckCellTimesOutRetriesAndIsNeverRecorded)
     spec.name = "timeout";
     exp::Cell cell;
     cell.key = keyFor(1);
-    // A cell stuck until cancelled (the cooperative-budget path); a
-    // plain body must exist but is never used when a cancellable
-    // variant is present.
-    cell.body = []() { return resultFor(1); };
-    cell.cancellableBody = [&attempts](obs::Sink *,
-                                       const CancelToken &cancel) {
+    // A cell stuck until cancelled (the cooperative-budget path).
+    cell.body = [&attempts](const exp::CellContext &ctx) {
         attempts.fetch_add(1);
-        while (!cancel.cancelled()) {
+        while (!ctx.cancel.cancelled()) {
         }
         exp::CellResult r;
         r.error = "cancelled mid-run";
@@ -310,7 +362,8 @@ TEST(RunnerTimeout, StuckCellTimesOutRetriesAndIsNeverRecorded)
 
     // Timed-out cells are never recorded: a resume retries them.
     exp::Manifest after(ckpt, kTag);
-    EXPECT_EQ(after.load().cells, 0u);
+    after.load();
+    EXPECT_EQ(after.size(), 0u);
 }
 
 TEST(RunnerTimeout, FastCellsFinishInsideTheBudgetUntouched)
@@ -320,9 +373,7 @@ TEST(RunnerTimeout, FastCellsFinishInsideTheBudgetUntouched)
     spec.name = "fast";
     exp::Cell cell;
     cell.key = keyFor(2);
-    cell.body = []() { return resultFor(2); };
-    cell.cancellableBody = [&attempts](obs::Sink *,
-                                       const CancelToken &) {
+    cell.body = [&attempts](const exp::CellContext &) {
         attempts.fetch_add(1);
         return resultFor(2);
     };
@@ -337,6 +388,67 @@ TEST(RunnerTimeout, FastCellsFinishInsideTheBudgetUntouched)
     EXPECT_EQ(results[0], resultFor(2));
     EXPECT_EQ(attempts.load(), 1u);
     EXPECT_EQ(runner.summary().timeouts, 0u);
+}
+
+TEST(RunnerTimeout, SystemGridTimesOutRecordsNothingAndResumesIdentically)
+{
+    const std::string ckpt = freshDir("system_timeout_ckpt");
+    const std::string out = freshDir("system_timeout_out");
+
+    sim::SystemConfig base;
+    base.numCores = 4;
+    base.windows = 0.02;
+    const std::vector<workloads::WorkloadSpec> suite = {
+        workloads::homogeneous("lbm", 4),
+        workloads::homogeneous("mcf", 4)};
+    const std::vector<schemes::SchemeKind> kinds = {
+        schemes::SchemeKind::Graphene, schemes::SchemeKind::Para};
+    const auto run_grid = [&](const exp::RunOptions &options) {
+        exp::Runner runner(options);
+        const auto rows =
+            sim::runOverheadGrid(base, suite, kinds, runner, "sys");
+        return std::make_pair(rows, runner.summary());
+    };
+
+    exp::RunOptions options;
+    options.jobs = 2;
+    options.versionTag = kTag;
+    options.jsonlPath = out + "/cold.jsonl";
+    run_grid(options);
+    // Every cell runs well past the runner's budget and its first
+    // token poll (every 8192 requests).
+    std::ifstream cold(options.jsonlPath);
+    for (std::string line; std::getline(cold, line);) {
+        exp::CellKey key;
+        exp::CellResult result;
+        ASSERT_TRUE(exp::parseCellRecordLine(line, key, result));
+        ASSERT_FALSE(result.skipped()) << result.error;
+        ASSERT_GT(result.stats.requests, 4u * 8192u) << line;
+    }
+
+    // Baselines exhaust a 5 ms budget; the protected cells fed by
+    // them return at once, but count as timed out too.
+    options.ckptDir = ckpt;
+    options.cellTimeoutMs = 5.0;
+    options.cellRetries = 0;
+    options.jsonlPath = out + "/timed.jsonl";
+    const auto [rows, summary] = run_grid(options);
+    ASSERT_EQ(rows.size(), 4u);
+    for (const auto &row : rows) {
+        EXPECT_TRUE(row.skipped());
+        EXPECT_NE(row.error.find("timeout"), std::string::npos)
+            << row.error;
+    }
+    EXPECT_EQ(summary.timeouts, 6u) << "2 baselines + 4 protected";
+    exp::Manifest after(ckpt, kTag);
+    after.load();
+    EXPECT_EQ(after.size(), 0u) << "a timed-out cell was recorded";
+
+    options.cellTimeoutMs = 0.0;
+    options.resume = true;
+    options.jsonlPath = out + "/resumed.jsonl";
+    EXPECT_EQ(run_grid(options).second.resumed, 0u);
+    EXPECT_EQ(slurp(out + "/resumed.jsonl"), slurp(out + "/cold.jsonl"));
 }
 
 } // namespace

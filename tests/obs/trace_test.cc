@@ -247,6 +247,34 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheArtifact)
     fs::remove_all(root);
 }
 
+TEST(TraceDeterminism, CellsThatNeverOpenTheirWindowsWriteNoTrace)
+{
+    // Every body is handed a sink under --obs; one that ignores it
+    // (like ablation_scheduler's replay cells) leaves no trace files.
+    const fs::path root = freshDir("graphene_obs_silent_test");
+    exp::ExperimentSpec spec;
+    spec.name = "silent";
+    exp::Cell cell;
+    cell.key = {"silent", "w", "s", 1};
+    bool handed_sink = false;
+    cell.body = [&handed_sink](const exp::CellContext &ctx) {
+        handed_sink = ctx.sink != nullptr;
+        exp::CellResult r;
+        r.stats.acts = 1;
+        return r;
+    };
+    spec.cells.push_back(std::move(cell));
+
+    exp::RunOptions options;
+    options.jobs = 1;
+    options.obsDir = (root / "obs").string();
+    exp::Runner runner(options);
+    ASSERT_EQ(runner.run(spec).size(), 1u);
+    EXPECT_EQ(handed_sink, kEnabled);
+    EXPECT_TRUE(slurpDir(options.obsDir).empty());
+    fs::remove_all(root);
+}
+
 } // namespace
 } // namespace obs
 } // namespace graphene

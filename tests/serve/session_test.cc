@@ -204,10 +204,10 @@ TEST(Session, KillAndResumeIsByteIdentical)
 
     Session resumed(smallSpec("k"), dir.path(),
                     dir.path() + "/ckpt");
-    const Result<Session::ResumeReport> report =
+    const Result<ckpt::LoadReport> report =
         resumed.startResumed();
     ASSERT_TRUE(report.ok()) << report.error().describe();
-    EXPECT_TRUE(report.value().resumed);
+    EXPECT_FALSE(report.value().source.empty());
     runToCompletion(resumed, 100000);
 
     EXPECT_EQ(slurp(resumed.jsonlPath()), expected);
@@ -218,10 +218,10 @@ TEST(Session, ResumeWithoutACheckpointStartsFresh)
     TempDir dir("fresh");
     Session session(smallSpec("f"), dir.path(),
                     dir.path() + "/ckpt");
-    const Result<Session::ResumeReport> report =
+    const Result<ckpt::LoadReport> report =
         session.startResumed();
     ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report.value().resumed);
+    EXPECT_TRUE(report.value().source.empty());
     EXPECT_EQ(session.state(), Session::State::Active);
 }
 
@@ -236,10 +236,10 @@ TEST(Session, CorruptCheckpointFallsBackFreshWithNotes)
         os << "this is not a checkpoint";
     }
     Session session(spec, dir.path(), dir.path() + "/ckpt");
-    const Result<Session::ResumeReport> report =
+    const Result<ckpt::LoadReport> report =
         session.startResumed();
     ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report.value().resumed);
+    EXPECT_TRUE(report.value().source.empty());
     EXPECT_FALSE(report.value().notes.empty());
     // And the fallback still produces the reference artifact.
     runToCompletion(session, 100000);

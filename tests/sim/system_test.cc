@@ -115,8 +115,9 @@ TEST(Experiment, OverheadGridShape)
         smallWorkload("lbm"), smallWorkload("mcf")};
     const std::vector<schemes::SchemeKind> kinds = {
         schemes::SchemeKind::Graphene, schemes::SchemeKind::Para};
+    exp::Runner runner;
     const auto rows = runOverheadGrid(
-        smallSystem(schemes::SchemeKind::None), suite, kinds);
+        smallSystem(schemes::SchemeKind::None), suite, kinds, runner);
     ASSERT_EQ(rows.size(), 4u);
     EXPECT_EQ(rows[0].workload, "lbm");
     EXPECT_EQ(rows[0].scheme, "Graphene");
@@ -131,8 +132,9 @@ TEST(Experiment, AdversarialGridShape)
     base.rowsPerBank = 8192;
     base.scheme.rowsPerBank = 8192;
     base.windows = 0.05;
+    exp::Runner runner;
     const auto rows = runAdversarialGrid(
-        base, {schemes::SchemeKind::Graphene}, 3);
+        base, {schemes::SchemeKind::Graphene}, 3, runner);
     ASSERT_EQ(rows.size(), 6u); // S1 x2, S2 x2, S3, S4
     for (const auto &row : rows) {
         EXPECT_EQ(row.scheme, "Graphene");
@@ -184,7 +186,8 @@ TEST(Experiment, InvalidBaselineSkipsCellsInsteadOfAborting)
     const std::vector<schemes::SchemeKind> kinds = {
         schemes::SchemeKind::Graphene, schemes::SchemeKind::Para};
 
-    const auto rows = runOverheadGrid(base, suite, kinds);
+    exp::Runner runner;
+    const auto rows = runOverheadGrid(base, suite, kinds, runner);
     ASSERT_EQ(rows.size(), 4u); // the grid keeps its shape
     for (const auto &row : rows) {
         EXPECT_TRUE(row.skipped());
@@ -195,9 +198,10 @@ TEST(Experiment, InvalidBaselineSkipsCellsInsteadOfAborting)
 
 TEST(Experiment, ValidGridRowsCarryNoError)
 {
+    exp::Runner runner;
     const auto rows = runOverheadGrid(
         smallSystem(schemes::SchemeKind::None),
-        {smallWorkload("lbm")}, {schemes::SchemeKind::Graphene});
+        {smallWorkload("lbm")}, {schemes::SchemeKind::Graphene}, runner);
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_FALSE(rows[0].skipped());
     EXPECT_TRUE(rows[0].error.empty());
@@ -210,8 +214,9 @@ TEST(Experiment, AdversarialGridSkipsInvalidKind)
     base.scheme.rowsPerBank = 8192;
     base.scheme.rowHammerThreshold = 0; // invalid for any scheme
     base.windows = 0.05;
+    exp::Runner runner;
     const auto rows = runAdversarialGrid(
-        base, {schemes::SchemeKind::Graphene}, 3);
+        base, {schemes::SchemeKind::Graphene}, 3, runner);
     ASSERT_EQ(rows.size(), 6u); // same shape as the valid grid
     for (const auto &row : rows) {
         EXPECT_TRUE(row.skipped());
