@@ -4,26 +4,11 @@
 
 #include "check/contracts.hh"
 #include "ckpt/io.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace graphene {
 namespace core {
-
-namespace {
-
-/** Bits needed to represent values in [0, n]. */
-unsigned
-bitsFor(std::uint64_t n)
-{
-    unsigned bits = 0;
-    while (n > 0) {
-        ++bits;
-        n >>= 1;
-    }
-    return bits == 0 ? 1 : bits;
-}
-
-} // namespace
 
 Graphene::Graphene(const GrapheneConfig &config,
                    std::uint64_t rows_per_bank)

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "check/contracts.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace graphene {
@@ -92,9 +93,7 @@ LossyCountingTracker::cost(std::uint64_t rows_per_bank) const
     const double entries =
         std::ceil(w * std::log(std::max(2.0, stream / w)));
 
-    unsigned addr_bits = 0;
-    for (std::uint64_t n = rows_per_bank - 1; n > 0; n >>= 1)
-        ++addr_bits;
+    const unsigned addr_bits = bitsFor(rows_per_bank - 1);
 
     TableCost cost;
     cost.entries = static_cast<std::uint64_t>(entries);

@@ -1,24 +1,10 @@
 #include "core/tracker_misra_gries.hh"
 
 #include "check/contracts.hh"
+#include "common/bits.hh"
 
 namespace graphene {
 namespace core {
-
-namespace {
-
-unsigned
-bitsFor(std::uint64_t n)
-{
-    unsigned bits = 0;
-    while (n > 0) {
-        ++bits;
-        n >>= 1;
-    }
-    return bits == 0 ? 1u : bits;
-}
-
-} // namespace
 
 MisraGriesTracker::MisraGriesTracker(unsigned entries) : _table(entries)
 {

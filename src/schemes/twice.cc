@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "check/contracts.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 
 namespace graphene {
@@ -153,18 +154,9 @@ TwiCe::onRefresh(Cycle cycle, RefreshAction &action)
 TableCost
 TwiCe::cost() const
 {
-    auto bits_for = [](std::uint64_t n) {
-        unsigned bits = 0;
-        while (n > 0) {
-            ++bits;
-            n >>= 1;
-        }
-        return bits == 0 ? 1u : bits;
-    };
-
-    const unsigned addr_bits = bits_for(_config.rowsPerBank - 1);
-    const unsigned count_bits = bits_for(_trigger);
-    const unsigned life_bits = bits_for(_intervals);
+    const unsigned addr_bits = bitsFor(_config.rowsPerBank - 1);
+    const unsigned count_bits = bitsFor(_trigger);
+    const unsigned life_bits = bitsFor(_intervals);
 
     // The row address is searched associatively (CAM); counts,
     // lifetimes, and the valid bit live in SRAM (Table IV layout).

@@ -328,6 +328,31 @@ TEST(CounterTable, RestoreRejectsASubSpilloverCount)
         tablePayload({{5, 3}, {7, 1}}, {{5, 0}, {7, 1}}, 2, 6, 2)));
 }
 
+TEST(CounterTable, RestoreRejectsBrokenConservation)
+{
+    // Counts plus spillover (5) exceed the stream length (4).
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 2}}, {{5, 0}, {7, 1}}, 0, 4, 2)));
+    // Restored, this table's next spill would break Lemma 2 and trip
+    // a contract instead of failing the restore.
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 3}}, {{5, 0}, {7, 1}}, 2, 2, 2)));
+}
+
+TEST(CounterTable, RestoreRejectsAnOccupiedSlotAtCountZero)
+{
+    // Every inserted row starts at spillover + 1 >= 1.
+    EXPECT_FALSE(restores(
+        tablePayload({{5, 3}, {7, 0}}, {{5, 0}, {7, 1}}, 0, 3, 2)));
+}
+
+TEST(CounterTable, RestoreRejectsAnEmptySlotWithACount)
+{
+    // An unclaimed slot is (invalid, 0) until a miss takes it.
+    EXPECT_FALSE(restores(tablePayload(
+        {{5, 3}, {Row::invalid().value(), 2}}, {{5, 0}}, 0, 5, 1)));
+}
+
 TEST(CounterTable, SaveRestoreSaveIsByteIdentical)
 {
     CounterTable t(4);

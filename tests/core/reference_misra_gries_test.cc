@@ -1,17 +1,16 @@
 /**
  * @file
- * Differential test: the production CounterTable (bucket-indexed for
- * O(1) updates) against a deliberately naive, obviously-correct
- * Misra-Gries reference that follows the paper's Figure 1 flowchart
- * with linear scans. Any divergence in observable state across long
- * random streams is a bug in one of them.
+ * Differential test: the production CounterTable (a min-slot tree
+ * for O(log Nentry) updates) against a deliberately naive,
+ * obviously-correct Misra-Gries reference that follows the paper's
+ * Figure 1 flowchart with linear scans. Any divergence in any slot
+ * across long random streams is a bug in one of them.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -30,14 +29,15 @@ class ReferenceMisraGries
     {
     }
 
-    void
+    /** @return the slot hit or replaced; kNoSlot on a spill. */
+    unsigned
     activate(Row addr)
     {
         // Hit?
-        for (auto &e : _table) {
-            if (e.first == addr) {
-                ++e.second;
-                return;
+        for (unsigned i = 0; i < _table.size(); ++i) {
+            if (_table[i].first == addr) {
+                ++_table[i].second;
+                return i;
             }
         }
         // Free or replaceable slot (count == spillover)?
@@ -46,17 +46,20 @@ class ReferenceMisraGries
             // only matches while the spillover count is still 0.
             if (_spillover == 0) {
                 _table.emplace_back(addr, 1);
-                return;
+                return static_cast<unsigned>(_table.size() - 1);
             }
         }
-        for (auto &e : _table) {
-            if (e.second == _spillover) {
-                e.first = addr;
-                ++e.second;
-                return;
+        // The lowest slot at the spillover count: a checkpoint holds
+        // only the slots, so a resumed run must make the same choice.
+        for (unsigned i = 0; i < _table.size(); ++i) {
+            if (_table[i].second == _spillover) {
+                _table[i].first = addr;
+                ++_table[i].second;
+                return i;
             }
         }
         ++_spillover;
+        return CounterTable::kNoSlot;
     }
 
     std::uint64_t
@@ -70,16 +73,13 @@ class ReferenceMisraGries
 
     std::uint64_t spillover() const { return _spillover; }
 
-    /** Multiset of all estimated counts (invalid slots count as 0). */
-    std::vector<std::uint64_t>
-    countMultiset() const
+    /** (addr, count) of slot @p i; unclaimed slots are (invalid, 0). */
+    std::pair<Row, std::uint64_t>
+    slot(unsigned i) const
     {
-        std::vector<std::uint64_t> counts;
-        for (const auto &e : _table)
-            counts.push_back(e.second);
-        counts.resize(_entries, 0);
-        std::sort(counts.begin(), counts.end());
-        return counts;
+        return i < _table.size() ? _table[i]
+                                 : std::make_pair(Row::invalid(),
+                                                  std::uint64_t{0});
     }
 
   private:
@@ -105,24 +105,17 @@ TEST_P(DifferentialStream, ObservableStateAlwaysMatches)
         const Row row = rng.bernoulli(0.4)
                             ? Row{static_cast<Row::rep>(rng.nextRange(3))}
                             : Row{static_cast<Row::rep>(rng.nextRange(500))};
-        table.processActivation(row);
-        reference.activate(row);
-
+        ASSERT_EQ(table.processActivation(row).slot,
+                  reference.activate(row))
+            << "step " << i;
         ASSERT_EQ(table.spilloverCount().value(), reference.spillover())
             << "step " << i;
-
-        if (i % 53 == 0) {
-            // The replacement victim among equal-count entries is an
-            // implementation choice, so per-address contents may
-            // legitimately differ; what must match exactly is the
-            // multiset of estimated counts (the algorithm's state up
-            // to that choice).
-            std::vector<std::uint64_t> counts;
-            for (const auto &e : table.entries())
-                counts.push_back(e.count.value());
-            std::sort(counts.begin(), counts.end());
-            ASSERT_EQ(counts, reference.countMultiset())
-                << "step " << i;
+        for (unsigned s = 0; s < entries; ++s) {
+            const auto [addr, count] = reference.slot(s);
+            ASSERT_EQ(table.entries()[s].addr, addr)
+                << "slot " << s << " at step " << i;
+            ASSERT_EQ(table.entries()[s].count.value(), count)
+                << "slot " << s << " at step " << i;
         }
     }
 }
