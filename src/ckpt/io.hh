@@ -145,6 +145,19 @@ class Reader
 
     bool boolean() { return u8() != 0; }
 
+    /**
+     * A container's element count. Every element takes at least one
+     * byte, so a count above remaining() means the payload lied
+     * about its own layout: that fails the reader and reads as 0.
+     */
+    std::uint64_t count()
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining())
+            fail();
+        return _failed ? 0 : n;
+    }
+
     std::string str()
     {
         const std::uint64_t len = u64();

@@ -40,9 +40,7 @@ Manifest::load()
         [this](const std::vector<std::uint8_t> &payload) {
             ckpt::Reader r(payload);
             std::map<std::uint64_t, std::string> records;
-            const std::uint64_t count = r.u64();
-            if (count > r.remaining())
-                r.fail();
+            const std::uint64_t count = r.count();
             for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
                 // persist() writes fingerprints strictly ascending;
                 // a duplicate or out-of-order one is not its output.

@@ -162,7 +162,7 @@ class Runner
     /// carries on without checkpoint durability).
     bool _manifestBroken = false;
     /// Cross-cell telemetry rollup, accumulated over every traced
-    /// cell of every stage (empty type under GRAPHENE_OBS_OFF).
+    /// cell of every stage (none under GRAPHENE_OBS_OFF).
     obs::Rollup _obsRollup;
     RunSummary _summary;
 };

@@ -1,12 +1,13 @@
 #include "obs/alerts.hh"
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace graphene {
 namespace obs {
-
-// The rule vocabulary (names, spellings) exists in both build modes —
-// tools print rules regardless of whether anything can fire.
 
 const char *
 alertOpName(AlertOp op)
@@ -35,19 +36,6 @@ AlertRule::describe() const
         ss << " for " << forWindows;
     return ss.str();
 }
-
-} // namespace obs
-} // namespace graphene
-
-#ifndef GRAPHENE_OBS_OFF
-
-#include <cstdlib>
-#include <fstream>
-
-#include "common/json.hh"
-
-namespace graphene {
-namespace obs {
 
 namespace {
 
@@ -268,5 +256,3 @@ writeAlertsJsonl(std::ostream &os, const std::vector<AlertRule> &rules,
 
 } // namespace obs
 } // namespace graphene
-
-#endif // GRAPHENE_OBS_OFF

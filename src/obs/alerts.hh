@@ -27,9 +27,6 @@
  *    canonical alerts.jsonl artifact. Because it sees the full
  *    series, the artifact is byte-identical across --jobs counts AND
  *    across a SIGKILL + --resume run.
- *
- * Under GRAPHENE_OBS_OFF the engine collapses to an empty type and
- * evaluation returns nothing.
  */
 
 #ifndef OBS_ALERTS_HH
@@ -39,7 +36,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
@@ -85,8 +81,6 @@ struct AlertEvent
     std::uint64_t window = 0;
     double value = 0.0; ///< The delta that completed the streak.
 };
-
-#ifndef GRAPHENE_OBS_OFF
 
 /**
  * Parse a rules file body (not a path: callers own I/O). Collects
@@ -155,61 +149,6 @@ evaluateSeries(const std::vector<AlertRule> &rules,
 void writeAlertsJsonl(std::ostream &os,
                       const std::vector<AlertRule> &rules,
                       const std::vector<AlertEvent> &events);
-
-#else // GRAPHENE_OBS_OFF
-
-inline Result<std::vector<AlertRule>>
-parseAlertRules(const std::string &)
-{
-    return std::vector<AlertRule>{};
-}
-
-inline Result<std::vector<AlertRule>>
-loadAlertRules(const std::string &)
-{
-    return std::vector<AlertRule>{};
-}
-
-/** Compiled-out engine: never fires. */
-class AlertEngine
-{
-  public:
-    AlertEngine() = default;
-    AlertEngine(std::vector<AlertRule>, double) {}
-
-    std::vector<std::size_t>
-    onWindow(std::uint64_t, const std::map<std::string, double> &)
-    {
-        return {};
-    }
-
-    const std::vector<AlertRule> &rules() const
-    {
-        static const std::vector<AlertRule> empty;
-        return empty;
-    }
-
-    std::uint64_t firedCount() const { return 0; }
-};
-
-static_assert(std::is_empty_v<AlertEngine>,
-              "GRAPHENE_OBS_OFF must compile the alert engine down "
-              "to an empty type");
-
-inline std::vector<AlertEvent>
-evaluateSeries(const std::vector<AlertRule> &, const SessionSeries &,
-               double)
-{
-    return {};
-}
-
-inline void
-writeAlertsJsonl(std::ostream &, const std::vector<AlertRule> &,
-                 const std::vector<AlertEvent> &)
-{
-}
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace obs
 } // namespace graphene

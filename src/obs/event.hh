@@ -9,11 +9,10 @@
  * per-bank ring buffers retain a bounded prefix, and the exporters
  * serialise them as JSONL or Chrome trace_event JSON.
  *
- * The Event struct itself is defined in both build modes — tests and
- * tools manipulate events directly — but nothing *records* one when
- * GRAPHENE_OBS_OFF is defined: Probe and Tracer collapse to empty
- * types and every emission site compiles to nothing (see
- * DESIGN.md §11 for the zero-impact guarantee).
+ * Nothing *records* an event when GRAPHENE_OBS_OFF is defined:
+ * obs::Probe collapses to an empty type and every emission site
+ * compiles to nothing (see DESIGN.md §11 for the zero-impact
+ * guarantee).
  */
 
 #ifndef OBS_EVENT_HH

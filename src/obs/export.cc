@@ -1,12 +1,13 @@
 #include "obs/export.hh"
 
 #include <algorithm>
+#include <sstream>
+
+#include "ckpt/checkpoint.hh"
+#include "common/json.hh"
 
 namespace graphene {
 namespace obs {
-
-// The status structs are plain data in both build modes; only the
-// writers compile out.
 
 void
 ServiceStatus::finalize()
@@ -27,19 +28,6 @@ ServiceStatus::finalize()
             ++pending;
     }
 }
-
-} // namespace obs
-} // namespace graphene
-
-#ifndef GRAPHENE_OBS_OFF
-
-#include <sstream>
-
-#include "ckpt/checkpoint.hh"
-#include "common/json.hh"
-
-namespace graphene {
-namespace obs {
 
 namespace {
 
@@ -177,5 +165,3 @@ writeExposition(std::ostream &os, const Rollup &rollup,
 
 } // namespace obs
 } // namespace graphene
-
-#endif // GRAPHENE_OBS_OFF

@@ -21,10 +21,6 @@
  * (`# HELP` / `# TYPE` / `name{labels} value`) from a Rollup, with
  * metric names sanitised to the Prometheus alphabet and tenants as
  * a `tenant` label.
- *
- * Under GRAPHENE_OBS_OFF the ServiceStatus/SessionStatus structs
- * keep their full shape (the serve driver populates them cheaply
- * either way) but the writers become no-ops.
  */
 
 #ifndef OBS_EXPORT_HH
@@ -82,8 +78,6 @@ struct ServiceStatus
     void finalize();
 };
 
-#ifndef GRAPHENE_OBS_OFF
-
 /**
  * Render the deterministic snapshot: valid JSON whose `sessions`
  * array puts each session object on its own line.
@@ -114,40 +108,6 @@ void writeExposition(std::ostream &os, const Rollup &rollup,
 
 /** Sanitise @p name to the Prometheus metric-name alphabet. */
 std::string promName(const std::string &name);
-
-#else // GRAPHENE_OBS_OFF
-
-inline std::string
-renderStatusJson(const ServiceStatus &)
-{
-    return std::string();
-}
-
-inline Result<void>
-writeStatusJson(const std::string &, const ServiceStatus &)
-{
-    return Result<void>::success();
-}
-
-inline Result<void>
-writeStatusSidecar(const std::string &, std::uint64_t, std::uint64_t,
-                   std::uint64_t)
-{
-    return Result<void>::success();
-}
-
-inline void
-writeExposition(std::ostream &, const Rollup &, const ServiceStatus &)
-{
-}
-
-inline std::string
-promName(const std::string &)
-{
-    return std::string();
-}
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace obs
 } // namespace graphene

@@ -18,8 +18,10 @@
  * window. Attribution is a pure function of the update stream:
  * identical runs produce identical series.
  *
- * Under GRAPHENE_OBS_OFF the registry collapses to an empty type with
- * inline no-op methods.
+ * The registry is compiled in both builds. GRAPHENE_OBS_OFF empties
+ * obs::Probe, so no probe site updates it there; obs::kEnabled keeps
+ * the runner from attaching a sink and the serve driver from writing
+ * telemetry.
  */
 
 #ifndef OBS_METRICS_HH
@@ -36,6 +38,12 @@
 #include "common/types.hh"
 
 namespace graphene {
+
+namespace ckpt {
+class Reader;
+class Writer;
+} // namespace ckpt
+
 namespace obs {
 
 /**
@@ -44,8 +52,6 @@ namespace obs {
  * files from a newer schema instead of guessing.
  */
 inline constexpr std::uint32_t kMetricsJsonlSchema = 1;
-
-#ifndef GRAPHENE_OBS_OFF
 
 class MetricsRegistry
 {
@@ -88,39 +94,27 @@ class MetricsRegistry
     void writeJsonl(std::ostream &os) const;
 
     /**
-     * Complete registry state in plain types, for checkpointing. obs
-     * sits below src/ckpt in the layer DAG (it depends only on
-     * common), so the checkpoint layer cannot be named here: the
-     * registry exports/imports a Snapshot and sim does the framing.
+     * Totals-line fields in emission order: every scalar, then per
+     * histogram its `.samples` count and bucket-interpolated
+     * `.p50/.p95/.p99` (rollups and alert rules watch tails, not
+     * means). writeJsonl and obs::seriesFromRegistry both use it.
      */
-    struct Snapshot
-    {
-        struct HistogramState
-        {
-            std::string name;
-            std::vector<std::uint64_t> buckets;
-            double bucketWidth = 0.0;
-            std::uint64_t count = 0;
-            std::uint64_t overflow = 0;
-            double sum = 0.0;
-            double maxSeen = 0.0;
-        };
+    std::vector<std::pair<std::string, double>> totalFields() const;
 
-        std::vector<std::pair<std::string, double>> scalars;
-        std::vector<HistogramState> histograms;
-        std::map<std::string, double> lastScalar;
-        std::map<std::string, std::uint64_t> lastHistSamples;
-        std::vector<WindowRow> rows;
-        std::uint64_t windowCycles = 0;
-        std::uint64_t currentWindow = 0;
-        bool open = false;
-    };
+    /**
+     * Checkpoint the full registry state (every map in sorted key
+     * order), so a resumed run continues the same series.
+     */
+    void saveState(ckpt::Writer &w) const;
 
-    /** Export the full registry state (maps iterate sorted). */
-    Snapshot snapshot() const;
-
-    /** Overwrite the registry with @p snap (restore path). */
-    void restore(const Snapshot &snap);
+    /**
+     * Inverse of saveState(). Fails @p r, leaving the registry as it
+     * was, on a layout no saveState() writes: unsorted or duplicate
+     * names, a histogram without buckets, a non-finite or
+     * non-positive bucket width, or a sample count that disagrees
+     * with its buckets plus overflow.
+     */
+    void restoreState(ckpt::Reader &r);
 
   private:
     void advanceTo(Cycle cycle);
@@ -134,80 +128,6 @@ class MetricsRegistry
     std::uint64_t _currentWindow = 0;
     bool _open = false;
 };
-
-#else // GRAPHENE_OBS_OFF
-
-/** Compiled-out registry: accepts everything, stores nothing. */
-class MetricsRegistry
-{
-  public:
-    struct WindowRow
-    {
-        std::uint64_t window = 0;
-        std::map<std::string, double> deltas;
-    };
-
-    void beginWindows(Cycle) {}
-    void add(Cycle, const std::string &, double = 1.0) {}
-    void sample(Cycle, const std::string &, double, std::size_t,
-                double)
-    {
-    }
-    void finish() {}
-    Cycle windowCycles() const { return Cycle{}; }
-
-    const StatGroup &totals() const
-    {
-        static const StatGroup empty;
-        return empty;
-    }
-
-    const std::vector<WindowRow> &windows() const
-    {
-        static const std::vector<WindowRow> empty;
-        return empty;
-    }
-
-    double windowSum(const std::string &) const { return 0.0; }
-    void writeJsonl(std::ostream &) const {}
-
-    /**
-     * Same Snapshot shape as the instrumented build so checkpoint
-     * serializers compile identically; snapshot() is always empty and
-     * restore() discards, keeping the registry an empty type.
-     */
-    struct Snapshot
-    {
-        struct HistogramState
-        {
-            std::string name;
-            std::vector<std::uint64_t> buckets;
-            double bucketWidth = 0.0;
-            std::uint64_t count = 0;
-            std::uint64_t overflow = 0;
-            double sum = 0.0;
-            double maxSeen = 0.0;
-        };
-
-        std::vector<std::pair<std::string, double>> scalars;
-        std::vector<HistogramState> histograms;
-        std::map<std::string, double> lastScalar;
-        std::map<std::string, std::uint64_t> lastHistSamples;
-        std::vector<WindowRow> rows;
-        std::uint64_t windowCycles = 0;
-        std::uint64_t currentWindow = 0;
-        bool open = false;
-    };
-
-    Snapshot snapshot() const { return Snapshot{}; }
-    void restore(const Snapshot &) {}
-};
-
-static_assert(std::is_empty_v<MetricsRegistry>,
-              "GRAPHENE_OBS_OFF must compile the metrics registry "
-              "down to an empty type");
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace obs
 } // namespace graphene

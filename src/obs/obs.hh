@@ -45,13 +45,6 @@ probeFor(Sink *sink, unsigned bank)
                  static_cast<std::uint16_t>(bank)};
 }
 
-#ifdef GRAPHENE_OBS_OFF
-static_assert(std::is_empty_v<Tracer> &&
-                  std::is_empty_v<MetricsRegistry>,
-              "GRAPHENE_OBS_OFF must leave no per-run observability "
-              "state behind");
-#endif
-
 } // namespace obs
 } // namespace graphene
 

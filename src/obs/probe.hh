@@ -13,7 +13,8 @@
  * below) with inline no-op methods: an attached probe occupies no
  * storage ([[no_unique_address]] at the member sites) and every call
  * compiles to nothing. This is the zero-size compile-out guarantee
- * of DESIGN.md §11.
+ * of DESIGN.md §11, and the only type the switch changes: the sinks
+ * behind a probe are compiled in both builds.
  */
 
 #ifndef OBS_PROBE_HH

@@ -1,7 +1,5 @@
 #include "obs/rollup.hh"
 
-#ifndef GRAPHENE_OBS_OFF
-
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -198,18 +196,11 @@ seriesFromRegistry(const MetricsRegistry &registry,
         delta.values = row.deltas;
         series.windows.push_back(std::move(delta));
     }
-    for (const auto &kv : registry.totals().scalars())
-        series.totals[kv.first] = kv.second.value();
-    for (const auto &kv : registry.totals().histograms()) {
-        series.totals[kv.first + ".samples"] =
-            static_cast<double>(kv.second.samples());
-        // Mirror writeJsonl's totals line exactly, so a series built
-        // from the live registry equals one parsed back from the
-        // JSONL byte stream (the round-trip test holds them equal).
-        series.totals[kv.first + ".p50"] = kv.second.quantile(0.50);
-        series.totals[kv.first + ".p95"] = kv.second.quantile(0.95);
-        series.totals[kv.first + ".p99"] = kv.second.quantile(0.99);
-    }
+    // The same fields writeJsonl's totals line carries, so a series
+    // built from the live registry equals one parsed back from the
+    // JSONL byte stream (the round-trip test holds them equal).
+    for (auto &[name, value] : registry.totalFields())
+        series.totals[std::move(name)] = value;
     series.haveTotals = true;
     return series;
 }
@@ -326,9 +317,3 @@ Rollup::writeJsonl(std::ostream &os) const
 
 } // namespace obs
 } // namespace graphene
-
-#else // GRAPHENE_OBS_OFF
-
-// Fully inline when compiled out; see rollup.hh.
-
-#endif // GRAPHENE_OBS_OFF

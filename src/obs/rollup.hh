@@ -23,10 +23,6 @@
  * no wall-clock field ever enters a rollup artifact — which is why
  * the serve CI leg can byte-compare rollups across --jobs counts and
  * across a SIGKILL + --resume run.
- *
- * Under GRAPHENE_OBS_OFF the Rollup collapses to an empty type and
- * the readers return empty series: the telemetry layer compiles out
- * to zero size like the rest of src/obs.
  */
 
 #ifndef OBS_ROLLUP_HH
@@ -69,8 +65,6 @@ struct SessionSeries
     bool failed = false;
     std::string error;
 };
-
-#ifndef GRAPHENE_OBS_OFF
 
 /**
  * Parse a graphene-obs-metrics-v1 stream (MetricsRegistry JSONL).
@@ -138,61 +132,6 @@ class Rollup
   private:
     std::map<std::string, SessionSeries> _tenants;
 };
-
-#else // GRAPHENE_OBS_OFF
-
-inline Result<SessionSeries>
-readMetricsJsonl(const std::string &, const std::string &)
-{
-    return SessionSeries{};
-}
-
-inline Result<SessionSeries>
-readServeJsonl(const std::string &, const std::string &)
-{
-    return SessionSeries{};
-}
-
-inline SessionSeries
-seriesFromRegistry(const MetricsRegistry &, const std::string &)
-{
-    return SessionSeries{};
-}
-
-inline Result<void>
-checkConservation(const SessionSeries &, double = 1e-6)
-{
-    return Result<void>::success();
-}
-
-/** Compiled-out rollup: ingests nothing, writes nothing. */
-class Rollup
-{
-  public:
-    void add(const SessionSeries &) {}
-    std::size_t tenantCount() const { return 0; }
-
-    const std::map<std::string, SessionSeries> &tenants() const
-    {
-        static const std::map<std::string, SessionSeries> empty;
-        return empty;
-    }
-
-    const SessionSeries *find(const std::string &) const
-    {
-        return nullptr;
-    }
-
-    std::vector<WindowDelta> fleet() const { return {}; }
-    std::map<std::string, double> fleetTotals() const { return {}; }
-    void writeJsonl(std::ostream &) const {}
-};
-
-static_assert(std::is_empty_v<Rollup>,
-              "GRAPHENE_OBS_OFF must compile the rollup down to an "
-              "empty type");
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace obs
 } // namespace graphene

@@ -1,7 +1,5 @@
 #include "obs/trace.hh"
 
-#ifndef GRAPHENE_OBS_OFF
-
 #include <algorithm>
 
 #include "common/json.hh"
@@ -117,10 +115,3 @@ Tracer::writeChromeTrace(std::ostream &os) const
 
 } // namespace obs
 } // namespace graphene
-
-#else // GRAPHENE_OBS_OFF
-
-// The compiled-out tracer is fully inline; this translation unit is
-// intentionally empty so the library shape matches both modes.
-
-#endif // GRAPHENE_OBS_OFF

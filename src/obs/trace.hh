@@ -10,10 +10,6 @@
  * in a stable (cycle, bank, per-bank sequence) order — so the same
  * simulated run always produces byte-identical trace files,
  * regardless of worker count or wall-clock conditions.
- *
- * Under GRAPHENE_OBS_OFF the Tracer collapses to an empty type whose
- * methods are inline no-ops: every recording site compiles away and
- * the exporters write nothing.
  */
 
 #ifndef OBS_TRACE_HH
@@ -28,8 +24,6 @@
 
 namespace graphene {
 namespace obs {
-
-#ifndef GRAPHENE_OBS_OFF
 
 class Tracer
 {
@@ -90,31 +84,6 @@ class Tracer
     std::size_t _capacity;
     std::vector<EventRing> _rings;
 };
-
-#else // GRAPHENE_OBS_OFF
-
-/** Compiled-out tracer: records nothing, exports nothing. */
-class Tracer
-{
-  public:
-    explicit Tracer(std::size_t = 0) {}
-
-    void record(const Event &) {}
-    unsigned banks() const { return 0; }
-    std::size_t ringCapacity() const { return 0; }
-    std::uint64_t totalRetained() const { return 0; }
-    std::uint64_t totalDropped() const { return 0; }
-    std::size_t peakOccupancy() const { return 0; }
-    std::vector<Event> merged() const { return {}; }
-    void writeEventsJsonl(std::ostream &, Cycle = Cycle{}) const {}
-    void writeChromeTrace(std::ostream &) const {}
-};
-
-static_assert(std::is_empty_v<Tracer>,
-              "GRAPHENE_OBS_OFF must compile the tracer down to an "
-              "empty type");
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace obs
 } // namespace graphene

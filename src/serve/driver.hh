@@ -98,8 +98,8 @@ struct DriverOptions
      * refreshes an atomically-rotated status.json health snapshot
      * every few quanta and, at drain, writes the deterministic
      * telemetry artifacts — rollup.jsonl, metrics.prom, alerts.jsonl
-     * and the final status.json — into telemetryDir. Compiled out
-     * (no files at all) under GRAPHENE_OBS_OFF.
+     * and the final status.json — into telemetryDir. Ignored (no
+     * files at all) under GRAPHENE_OBS_OFF.
      */
     bool telemetry = false;
 

@@ -426,7 +426,9 @@ Session::emitWindowLine(Cycle end_cycle)
     // replay (obs::evaluateSeries over this artifact) agree rule for
     // rule. Fired rules become Alert trace events and a live
     // counter; the canonical alerts artifact is the offline one.
-    if (_alertRules != nullptr && !_alertRules->empty()) {
+    // Under GRAPHENE_OBS_OFF nothing reads the result, so skip it.
+    if (obs::kEnabled && _alertRules != nullptr &&
+        !_alertRules->empty()) {
         std::map<std::string, double> deltas;
         deltas["acts"] = static_cast<double>(acts - _lastActs);
         deltas["nrr_events"] = static_cast<double>(nrr - _lastNrr);

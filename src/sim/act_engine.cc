@@ -75,115 +75,6 @@ buildScheme(const ActEngineConfig &config)
     return std::move(built).value();
 }
 
-/** Serialize a metrics snapshot into the checkpoint payload. */
-void
-saveMetrics(ckpt::Writer &w, const obs::MetricsRegistry::Snapshot &s)
-{
-    w.u64(s.scalars.size());
-    for (const auto &kv : s.scalars) {
-        w.str(kv.first);
-        w.f64(kv.second);
-    }
-    w.u64(s.histograms.size());
-    for (const auto &h : s.histograms) {
-        w.str(h.name);
-        w.u64(h.buckets.size());
-        for (std::uint64_t b : h.buckets)
-            w.u64(b);
-        w.f64(h.bucketWidth);
-        w.u64(h.count);
-        w.u64(h.overflow);
-        w.f64(h.sum);
-        w.f64(h.maxSeen);
-    }
-    w.u64(s.lastScalar.size());
-    for (const auto &kv : s.lastScalar) {
-        w.str(kv.first);
-        w.f64(kv.second);
-    }
-    w.u64(s.lastHistSamples.size());
-    for (const auto &kv : s.lastHistSamples) {
-        w.str(kv.first);
-        w.u64(kv.second);
-    }
-    w.u64(s.rows.size());
-    for (const auto &row : s.rows) {
-        w.u64(row.window);
-        w.u64(row.deltas.size());
-        for (const auto &kv : row.deltas) {
-            w.str(kv.first);
-            w.f64(kv.second);
-        }
-    }
-    w.u64(s.windowCycles);
-    w.u64(s.currentWindow);
-    w.boolean(s.open);
-}
-
-/** Guard a serialized element count against the bytes actually left:
- *  every element is at least one byte, so a larger count means the
- *  payload lied about its own layout. */
-std::uint64_t
-boundedCount(ckpt::Reader &r)
-{
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())
-        r.fail();
-    return r.failed() ? 0 : n;
-}
-
-obs::MetricsRegistry::Snapshot
-loadMetrics(ckpt::Reader &r)
-{
-    obs::MetricsRegistry::Snapshot s;
-    const std::uint64_t scalars = boundedCount(r);
-    for (std::uint64_t i = 0; i < scalars; ++i) {
-        std::string name = r.str();
-        const double v = r.f64();
-        s.scalars.emplace_back(std::move(name), v);
-    }
-    const std::uint64_t hists = boundedCount(r);
-    for (std::uint64_t i = 0; i < hists; ++i) {
-        obs::MetricsRegistry::Snapshot::HistogramState h;
-        h.name = r.str();
-        const std::uint64_t buckets = boundedCount(r);
-        h.buckets.reserve(buckets);
-        for (std::uint64_t b = 0; b < buckets; ++b)
-            h.buckets.push_back(r.u64());
-        h.bucketWidth = r.f64();
-        h.count = r.u64();
-        h.overflow = r.u64();
-        h.sum = r.f64();
-        h.maxSeen = r.f64();
-        s.histograms.push_back(std::move(h));
-    }
-    const std::uint64_t last_scalars = boundedCount(r);
-    for (std::uint64_t i = 0; i < last_scalars; ++i) {
-        std::string name = r.str();
-        s.lastScalar[std::move(name)] = r.f64();
-    }
-    const std::uint64_t last_hists = boundedCount(r);
-    for (std::uint64_t i = 0; i < last_hists; ++i) {
-        std::string name = r.str();
-        s.lastHistSamples[std::move(name)] = r.u64();
-    }
-    const std::uint64_t rows = boundedCount(r);
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        obs::MetricsRegistry::WindowRow row;
-        row.window = r.u64();
-        const std::uint64_t deltas = boundedCount(r);
-        for (std::uint64_t d = 0; d < deltas; ++d) {
-            std::string name = r.str();
-            row.deltas[std::move(name)] = r.f64();
-        }
-        s.rows.push_back(std::move(row));
-    }
-    s.windowCycles = r.u64();
-    s.currentWindow = r.u64();
-    s.open = r.boolean();
-    return s;
-}
-
 } // namespace
 
 ActStreamEngine::ActStreamEngine(const ActEngineConfig &config,
@@ -404,7 +295,7 @@ ActStreamEngine::saveState(ckpt::Writer &w) const
     _pattern.saveState(w);
     w.boolean(_config.obs != nullptr);
     if (_config.obs)
-        saveMetrics(w, _config.obs->metrics.snapshot());
+        _config.obs->metrics.saveState(w);
 }
 
 void
@@ -431,11 +322,11 @@ ActStreamEngine::restoreState(ckpt::Reader &r)
     _pattern.restoreState(r);
     const bool has_obs = r.boolean();
     if (has_obs && _config.obs) {
-        _config.obs->metrics.restore(loadMetrics(r));
+        _config.obs->metrics.restoreState(r);
     } else if (has_obs) {
         // Saved with a sink, resuming without one: drain the bytes so
         // finish() still validates, and drop the series.
-        (void)loadMetrics(r);
+        obs::MetricsRegistry().restoreState(r);
     } else if (_config.obs) {
         // Saved without a sink, resuming with one: the series starts
         // at the resume point; totals-based artifacts still match.

@@ -79,6 +79,26 @@ TEST(CkptIo, HugeStringLengthCannotIndexOutOfBounds)
     EXPECT_FALSE(r.finish().ok());
 }
 
+TEST(CkptIo, CountIsBoundedByRemainingBytes)
+{
+    // A count up to the bytes left is taken as is...
+    Writer w;
+    w.u64(3);
+    w.bytes("abc", 3);
+    Reader r(w.data());
+    EXPECT_EQ(r.count(), 3u);
+    EXPECT_FALSE(r.failed());
+
+    // ...one above them cannot be honest: it fails and reads as 0.
+    Writer over;
+    over.u64(4);
+    over.bytes("abc", 3);
+    Reader bad(over.data());
+    EXPECT_EQ(bad.count(), 0u);
+    EXPECT_TRUE(bad.failed());
+    EXPECT_EQ(bad.finish().error().code(), ErrorCode::CkptTruncated);
+}
+
 TEST(CkptIo, TrailingBytesFailFinish)
 {
     Writer w;

@@ -4,14 +4,12 @@
  * (all errors collected, not just the first), the `chunk` threshold
  * symbol, streak semantics (`for N` fires once per streak, missing
  * metrics break streaks), the offline/live equivalence, and the
- * alerts.jsonl artifact. Under GRAPHENE_OBS_OFF only the compile-out
- * contract is asserted.
+ * alerts.jsonl artifact.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <type_traits>
 
 #include "obs/alerts.hh"
 
@@ -19,23 +17,6 @@ namespace graphene {
 namespace obs {
 namespace {
 
-#ifdef GRAPHENE_OBS_OFF
-
-TEST(AlertsCompileOut, EmptyEngineNeverFires)
-{
-    static_assert(std::is_empty_v<AlertEngine>,
-                  "OBS_OFF alert engine must be zero-size");
-    const Result<std::vector<AlertRule>> rules =
-        parseAlertRules("broken line that would not parse");
-    ASSERT_TRUE(rules.ok());
-    EXPECT_TRUE(rules.value().empty());
-
-    AlertEngine engine({}, 0.0);
-    EXPECT_TRUE(engine.onWindow(0, {{"x", 1.0}}).empty());
-    EXPECT_EQ(engine.firedCount(), 0u);
-}
-
-#else // telemetry compiled in
 
 TEST(ParseAlertRules, GrammarAndDescribeRoundTrip)
 {
@@ -195,8 +176,6 @@ TEST(WriteAlertsJsonl, HeaderSpecsEventsAndSummary)
     writeAlertsJsonl(again, rules, events);
     EXPECT_EQ(text, again.str());
 }
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace
 } // namespace obs

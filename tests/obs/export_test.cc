@@ -4,8 +4,7 @@
  * snapshot's render contract (deterministic bytes, one session
  * object per line, no volatile fields), finalize()'s sort+tally,
  * atomic file rotation, Prometheus name sanitisation, and the text
- * exposition's family grouping. Under GRAPHENE_OBS_OFF only the
- * no-op contract is asserted.
+ * exposition's family grouping.
  */
 
 #include <gtest/gtest.h>
@@ -51,20 +50,6 @@ sampleStatus()
     return status;
 }
 
-#ifdef GRAPHENE_OBS_OFF
-
-TEST(ExportCompileOut, WritersAreNoOps)
-{
-    // The status structs keep their shape (the driver fills them
-    // either way); only the writers vanish.
-    ServiceStatus status = sampleStatus();
-    EXPECT_EQ(status.done, 1u);
-    EXPECT_TRUE(renderStatusJson(status).empty());
-    EXPECT_TRUE(writeStatusJson("/nonexistent/x.json", status).ok());
-    EXPECT_TRUE(promName("a b").empty());
-}
-
-#else // telemetry compiled in
 
 TEST(ServiceStatus, FinalizeSortsAndTallies)
 {
@@ -182,8 +167,6 @@ TEST(WriteExposition, GroupsFamiliesAndEmitsGauges)
         text.find("graphene_serve_sessions{state=\"failed\"} 1"),
         std::string::npos);
 }
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace
 } // namespace obs

@@ -5,7 +5,6 @@
  * escaped metric names — the writer and reader must agree on the
  * quoting rules), the serve-artifact reader, the conservation audit,
  * fleet merging, schema rejection, and byte-deterministic export.
- * Under GRAPHENE_OBS_OFF only the compile-out contract is asserted.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <type_traits>
 
 #include "obs/metrics.hh"
 #include "obs/rollup.hh"
@@ -45,26 +43,6 @@ class TempFile
     std::string _path;
 };
 
-#ifdef GRAPHENE_OBS_OFF
-
-TEST(RollupCompileOut, EmptyTypeAndEmptyReads)
-{
-    static_assert(std::is_empty_v<Rollup>,
-                  "OBS_OFF rollup must be zero-size");
-    const Result<SessionSeries> series =
-        readMetricsJsonl("/nonexistent", "t");
-    ASSERT_TRUE(series.ok());
-    EXPECT_TRUE(series.value().windows.empty());
-
-    Rollup rollup;
-    rollup.add(SessionSeries{});
-    EXPECT_EQ(rollup.tenantCount(), 0u);
-    std::ostringstream os;
-    rollup.writeJsonl(os);
-    EXPECT_TRUE(os.str().empty());
-}
-
-#else // telemetry compiled in
 
 TEST(ReadMetricsJsonl, RoundTripsRegistryIncludingNastyNames)
 {
@@ -252,8 +230,6 @@ TEST(Rollup, WriteJsonlIsByteDeterministic)
     reordered.writeJsonl(third);
     EXPECT_EQ(first.str(), third.str());
 }
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace
 } // namespace obs

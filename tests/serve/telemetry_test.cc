@@ -5,7 +5,9 @@
  * are byte-identical across --jobs 1/4/16 and across cancel+resume;
  * alert firing is deterministic even with a fault-injected session
  * in the mix; volatile context stays in the status.meta.json
- * sidecar; and disabled telemetry writes nothing at all.
+ * sidecar; and disabled telemetry writes nothing at all. Every test
+ * runs in both builds: under GRAPHENE_OBS_OFF the driver writes no
+ * telemetry file, which artifacts() asserts.
  */
 
 #include <chrono>
@@ -63,6 +65,21 @@ slurp(const std::string &path)
 const char *const kArtifacts[] = {"rollup.jsonl", "alerts.jsonl",
                                   "metrics.prom", "status.json"};
 
+/** The artifacts in @p dir, in kArtifacts order. The driver writes
+ *  them exactly when telemetry is compiled in (obs::kEnabled); an
+ *  absent one reads as empty. */
+std::vector<std::string>
+artifacts(const TempDir &dir)
+{
+    std::vector<std::string> out;
+    for (const char *name : kArtifacts) {
+        const std::string path = dir.path() + "/" + name;
+        EXPECT_EQ(fs::exists(path), obs::kEnabled) << name;
+        out.push_back(fs::exists(path) ? slurp(path) : std::string());
+    }
+    return out;
+}
+
 std::string
 writeRules(const TempDir &dir)
 {
@@ -115,27 +132,6 @@ telemetryOptions(const TempDir &dir, unsigned jobs,
     return opts;
 }
 
-#ifdef GRAPHENE_OBS_OFF
-
-TEST(ServeTelemetryCompileOut, NoArtifactsAreWritten)
-{
-    TempDir dir("obsoff");
-    DriverOptions opts;
-    opts.jobs = 2;
-    opts.quantumCycles = 100000;
-    opts.outDir = dir.path();
-    opts.telemetry = true; // requested, but compiled out
-    ServeDriver driver(opts);
-    for (unsigned i = 0; i < 2; ++i)
-        ASSERT_TRUE(driver.admit(tenantSpec(i)).ok());
-    CancelToken cancel;
-    ASSERT_TRUE(driver.run(cancel).ok());
-    for (const char *name : kArtifacts)
-        EXPECT_FALSE(fs::exists(dir.path() + "/" + name)) << name;
-}
-
-#else // telemetry compiled in
-
 /**
  * The tentpole determinism contract: 8 sessions over >= 3 schemes,
  * and every drain-time telemetry artifact is byte-identical whether
@@ -158,24 +154,26 @@ TEST(ServeTelemetry, ArtifactsAreJobsInvariant)
             driver.run(cancel);
         ASSERT_TRUE(report.ok()) << report.error().describe();
         EXPECT_EQ(report.value().completed, kSessions);
-        // The rules above fire on every healthy session.
-        EXPECT_GT(report.value().alertsFired, 0u);
+        // The rules above fire on every healthy session; the
+        // drain-time tally is telemetry output.
+        EXPECT_EQ(report.value().alertsFired > 0, obs::kEnabled);
 
-        std::vector<std::string> artifacts;
-        for (const char *name : kArtifacts)
-            artifacts.push_back(slurp(dir.path() + "/" + name));
+        const std::vector<std::string> got = artifacts(dir);
         if (reference.empty()) {
-            reference = artifacts;
+            reference = got;
         } else {
-            for (std::size_t i = 0; i < artifacts.size(); ++i)
-                EXPECT_EQ(artifacts[i], reference[i])
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(got[i], reference[i])
                     << kArtifacts[i] << " differs at jobs=" << jobs;
         }
 
         // The volatile sidecar exists but is exempt from the
         // comparison: that is where jobs/wall-clock live.
-        const std::string meta =
-            slurp(dir.path() + "/status.meta.json");
+        const std::string meta_path = dir.path() + "/status.meta.json";
+        ASSERT_EQ(fs::exists(meta_path), obs::kEnabled);
+        if (!obs::kEnabled)
+            continue;
+        const std::string meta = slurp(meta_path);
         EXPECT_NE(meta.find("\"volatile\":true"), std::string::npos);
         EXPECT_NE(meta.find("\"jobs\":" + std::to_string(jobs)),
                   std::string::npos);
@@ -210,20 +208,19 @@ TEST(ServeTelemetry, FaultInjectedSessionIsDeterministic)
         EXPECT_EQ(report.value().failed, 1u);
         EXPECT_EQ(report.value().completed, 3u);
 
-        const std::string status =
-            slurp(dir.path() + "/status.json");
-        EXPECT_NE(status.find("\"state\":\"failed\""),
-                  std::string::npos);
-        EXPECT_NE(status.find("\"failed\":1"), std::string::npos);
+        const std::vector<std::string> got = artifacts(dir);
+        const std::string &status = got.back(); // status.json
+        EXPECT_EQ(status.find("\"state\":\"failed\"") !=
+                      std::string::npos,
+                  obs::kEnabled);
+        EXPECT_EQ(status.find("\"failed\":1") != std::string::npos,
+                  obs::kEnabled);
 
-        std::vector<std::string> artifacts;
-        for (const char *name : kArtifacts)
-            artifacts.push_back(slurp(dir.path() + "/" + name));
         if (reference.empty())
-            reference = artifacts;
+            reference = got;
         else
-            for (std::size_t i = 0; i < artifacts.size(); ++i)
-                EXPECT_EQ(artifacts[i], reference[i])
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(got[i], reference[i])
                     << kArtifacts[i] << " differs at jobs=" << jobs;
     }
 }
@@ -244,8 +241,7 @@ TEST(ServeTelemetry, CancelThenResumeKeepsArtifactsByteIdentical)
             ASSERT_TRUE(driver.admit(tenantSpec(i)).ok());
         CancelToken cancel;
         ASSERT_TRUE(driver.run(cancel).ok());
-        for (const char *name : kArtifacts)
-            expected.push_back(slurp(ref_dir.path() + "/" + name));
+        expected = artifacts(ref_dir);
     }
 
     TempDir dir("telresume");
@@ -276,9 +272,9 @@ TEST(ServeTelemetry, CancelThenResumeKeepsArtifactsByteIdentical)
         EXPECT_EQ(report.value().completed, kSessions);
     }
 
+    const std::vector<std::string> got = artifacts(dir);
     for (std::size_t i = 0; i < expected.size(); ++i)
-        EXPECT_EQ(slurp(dir.path() + "/" + kArtifacts[i]),
-                  expected[i])
+        EXPECT_EQ(got[i], expected[i])
             << kArtifacts[i] << " diverged across drain+resume";
 }
 
@@ -300,8 +296,6 @@ TEST(ServeTelemetry, DisabledWritesNothing)
         EXPECT_FALSE(fs::exists(dir.path() + "/" + name)) << name;
     EXPECT_FALSE(fs::exists(dir.path() + "/status.meta.json"));
 }
-
-#endif // GRAPHENE_OBS_OFF
 
 } // namespace
 } // namespace serve

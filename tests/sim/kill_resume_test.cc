@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "ckpt/io.hh"
 #include "common/random.hh"
 #include "obs/obs.hh"
 #include "sim/act_engine.hh"
@@ -127,7 +129,6 @@ INSTANTIATE_TEST_SUITE_P(
         return schemes::schemeKindName(info.param);
     });
 
-#ifndef GRAPHENE_OBS_OFF
 TEST(KillResumeObs, MetricsSeriesSurvivesResume)
 {
     ActEngineConfig config = engineConfig(schemes::SchemeKind::Graphene);
@@ -167,7 +168,6 @@ TEST(KillResumeObs, MetricsSeriesSurvivesResume)
     EXPECT_EQ(want_jsonl.str(), got_jsonl.str())
         << "windowed metrics series diverged across the resume";
 }
-#endif
 
 TEST(KillResumeReject, DifferentConfigIsConfigMismatch)
 {
@@ -185,6 +185,67 @@ TEST(KillResumeReject, DifferentConfigIsConfigMismatch)
     const Result<void> r = stranger.restoreCheckpoint(blob);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().code(), ErrorCode::CkptConfigMismatch);
+}
+
+TEST(KillResumeReject, MalformedMetricsRegistryIsRejected)
+{
+    // Checksum-valid containers whose registry payload holds a
+    // histogram no registry builds: restore must fail with a typed
+    // error, not trip Histogram's constructor contract.
+    ActEngineConfig config = engineConfig(schemes::SchemeKind::Graphene);
+    auto pattern = patternFor(config);
+    ActStreamEngine engine(config, *pattern);
+    engine.runUntil(Cycle{100000});
+    ckpt::Writer state;
+    engine.saveState(state);
+    // Saved without a sink, the payload ends in has_obs = false.
+    std::vector<std::uint8_t> prefix = state.data();
+    ASSERT_EQ(prefix.back(), 0u);
+    prefix.back() = 1;
+
+    const auto histogram = [&config](std::uint64_t buckets,
+                                     double width, std::uint64_t count) {
+        ckpt::Writer w;
+        w.u64(0); // scalars
+        w.u64(1);
+        w.str("lat");
+        w.u64(buckets);
+        for (std::uint64_t b = 0; b < buckets; ++b)
+            w.u64(1);
+        w.f64(width);
+        w.u64(count);
+        w.u64(0); // overflow
+        w.f64(0.0);
+        w.f64(0.0);
+        w.u64(0); // lastScalar
+        w.u64(0); // lastHistSamples
+        w.u64(0); // rows
+        w.u64(config.timing.cREFW().value());
+        w.u64(0);
+        w.boolean(true);
+        return w.data();
+    };
+    const std::vector<std::vector<std::uint8_t>> registries = {
+        histogram(0, 1.0, 0),
+        histogram(2, 0.0, 2),
+        histogram(2, -1.0, 2),
+        histogram(2, std::numeric_limits<double>::quiet_NaN(), 2),
+        histogram(2, 1.0, 3),
+    };
+    obs::Sink sink;
+    config.obs = &sink;
+    const auto restore = [&](const std::vector<std::uint8_t> &registry) {
+        std::vector<std::uint8_t> payload = prefix;
+        payload.insert(payload.end(), registry.begin(), registry.end());
+        auto victim_pattern = patternFor(config);
+        ActStreamEngine victim(config, *victim_pattern);
+        return victim.restoreCheckpoint(
+            ckpt::encode(victim.configFingerprint(), payload));
+    };
+    // The well-formed twin restores, so each case fails for its flaw.
+    ASSERT_TRUE(restore(histogram(2, 1.0, 2)).ok());
+    for (std::size_t i = 0; i < registries.size(); ++i)
+        EXPECT_FALSE(restore(registries[i]).ok()) << "case " << i;
 }
 
 TEST(KillResumeReject, CorruptedBytesNeverRestore)
