@@ -7,13 +7,12 @@
  *
  *   --jobs N        worker threads (0 = one per hardware thread)
  *   --json PATH     write machine-readable JSONL next to the tables
- *   --cache DIR     content-addressed result cache (off by default)
+ *   --cache DIR     content-addressed result cache (off by default);
+ *                   rerunning a killed sweep with the same DIR
+ *                   recomputes only the cells it never finished
  *   --obs DIR       per-cell event traces + windowed metrics (grid
  *                   drivers; no-op under GRAPHENE_OBS_OFF)
  *   --windows W     shrink/grow the simulated span (grid drivers)
- *   --ckpt-dir DIR  crash-resume manifest under DIR (grid drivers)
- *   --ckpt-every N  persist the manifest every N completed cells
- *   --resume        serve completed cells from the latest manifest
  *   --timeout-ms T  wall-clock budget per grid cell (0 =
  *                   unlimited). Every runOverheadGrid and
  *                   runAdversarialGrid cell honours it; only
@@ -39,6 +38,7 @@
 #include "common/error.hh"
 #include "common/table_printer.hh"
 #include "exp/runner.hh"
+#include "obs/event.hh"
 
 namespace graphene {
 namespace bench {
@@ -58,12 +58,10 @@ printUsage(const char *prog, std::ostream &os)
     os << "usage: " << prog << " [options]\n"
        << "  --jobs N        worker threads (default: hardware)\n"
        << "  --json PATH     write JSONL artifacts to PATH\n"
-       << "  --cache DIR     cache cell results under DIR\n"
+       << "  --cache DIR     cache cell results under DIR; rerun a\n"
+       << "                  killed sweep with it to resume\n"
        << "  --obs DIR       write per-cell traces + metrics to DIR\n"
        << "  --windows W     override the simulated span (tREFW units)\n"
-       << "  --ckpt-dir DIR  crash-resume manifest under DIR\n"
-       << "  --ckpt-every N  persist manifest every N completed cells\n"
-       << "  --resume        serve completed cells from the manifest\n"
        << "  --timeout-ms T  wall-clock budget per cell (0 = off);\n"
        << "                  ablation replay cells ignore it\n"
        << "  --retries N     extra attempts after a cell timeout\n"
@@ -108,12 +106,6 @@ parseBenchArgs(int argc, char **argv)
                              "GRAPHENE_OBS_OFF)\n";
         } else if (arg == "--windows") {
             options.windows = std::stod(value(i));
-        } else if (arg == "--ckpt-dir") {
-            options.run.ckptDir = value(i);
-        } else if (arg == "--ckpt-every") {
-            options.run.ckptEvery = std::stoul(value(i));
-        } else if (arg == "--resume") {
-            options.run.resume = true;
         } else if (arg == "--timeout-ms") {
             options.run.cellTimeoutMs = std::stod(value(i));
         } else if (arg == "--retries") {

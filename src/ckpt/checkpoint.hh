@@ -34,9 +34,9 @@
  *
  * saveFile() writes atomically: tmp file, fsync, rename — so a crash
  * mid-save leaves either the previous artifact or none, never a torn
- * one. saveRotated()/loadNewest() add the generational protocol every
- * crash-resume artifact (runner and serve manifests, session
- * checkpoints) shares: keep the previous file as `.prev`, load the
+ * one. saveRotated()/loadNewest() add the generational protocol the
+ * artifacts rewritten in place (the serve manifest and session
+ * checkpoints) share: keep the previous file as `.prev`, load the
  * newest valid one.
  */
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ckpt/io.hh"
 #include "common/logging.hh"
 
 namespace graphene {
@@ -11,6 +12,25 @@ TimingParams
 TimingParams::ddr4_2400()
 {
     return TimingParams{};
+}
+
+void
+TimingParams::save(ckpt::Writer &w) const
+{
+    for (const Nanoseconds ns : {tCK, tREFI, tRFC, tRC, tRCD, tRP, tCL,
+                                 tRAS, tBL, tREFW, tFAW})
+        w.f64(ns.value());
+}
+
+TimingParams
+TimingParams::load(ckpt::Reader &r)
+{
+    TimingParams t;
+    for (Nanoseconds *ns : {&t.tCK, &t.tREFI, &t.tRFC, &t.tRC, &t.tRCD,
+                            &t.tRP, &t.tCL, &t.tRAS, &t.tBL, &t.tREFW,
+                            &t.tFAW})
+        *ns = Nanoseconds{r.f64()};
+    return t;
 }
 
 Cycle

@@ -12,6 +12,12 @@
 #include "common/types.hh"
 
 namespace graphene {
+
+namespace ckpt {
+class Writer;
+class Reader;
+} // namespace ckpt
+
 namespace dram {
 
 /**
@@ -71,6 +77,13 @@ struct TimingParams
 
     /** The paper's DDR4-2400 configuration. */
     static TimingParams ddr4_2400();
+
+    /** Write every parameter as an exact f64, in declaration order
+     *  (checkpoint payloads and config fingerprints). */
+    void save(ckpt::Writer &w) const;
+
+    /** Read what save() wrote. */
+    static TimingParams load(ckpt::Reader &r);
 
     /** Convert a duration in nanoseconds to whole cycles (ceiling). */
     Cycle toCycles(Nanoseconds ns) const;

@@ -1,8 +1,6 @@
 #include "exp/cache.hh"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "ckpt/checkpoint.hh"
@@ -12,6 +10,32 @@ namespace graphene {
 namespace exp {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/** The record an intact entry holds for @p key, or why it is not. */
+Result<CellResult>
+readEntry(const std::string &path, std::uint64_t entry_fp,
+          const CellKey &key)
+{
+    const Result<ckpt::Blob> blob = ckpt::loadFile(path, entry_fp);
+    if (!blob.ok())
+        return blob.error();
+    const std::vector<std::uint8_t> &payload = blob.value().payload;
+    CellKey stored_key;
+    CellResult result;
+    if (!parseCellRecordLine(std::string(payload.begin(), payload.end()),
+                             stored_key, result))
+        return Error(ErrorCode::CkptBadPayload,
+                     "cache entry holds no cell record");
+    if (stored_key.fingerprint != key.fingerprint)
+        return Error(ErrorCode::CkptConfigMismatch,
+                     "cache entry records cell " +
+                         Fingerprint::hex(stored_key.fingerprint));
+    return result;
+}
+
+} // namespace
 
 Cache::Cache(std::string dir, std::string version_tag)
     : _dir(std::move(dir)), _versionTag(std::move(version_tag))
@@ -31,27 +55,23 @@ std::string
 Cache::entryPath(const CellKey &key) const
 {
     return (fs::path(_dir) /
-            (Fingerprint::hex(addressOf(key)) + ".json"))
+            (Fingerprint::hex(addressOf(key)) + ".gckp"))
         .string();
 }
 
 std::optional<CellResult>
-Cache::load(const CellKey &key) const
+Cache::load(const CellKey &key, std::string *rejected) const
 {
-    std::ifstream in(entryPath(key));
-    if (!in)
+    const std::string path = entryPath(key);
+    std::error_code ec;
+    if (!fs::exists(path, ec))
         return std::nullopt;
-    std::string line;
-    if (!std::getline(in, line))
-        return std::nullopt;
-
-    CellKey stored_key;
-    CellResult result;
-    if (!parseCellRecordLine(line, stored_key, result))
-        return std::nullopt; // corrupt entry: treat as a miss
-    if (stored_key.fingerprint != key.fingerprint)
-        return std::nullopt; // renamed / foreign entry
-    return result;
+    Result<CellResult> entry = readEntry(path, addressOf(key), key);
+    if (entry.ok())
+        return std::move(entry).value();
+    if (rejected)
+        *rejected = path + ": " + entry.error().describe();
+    return std::nullopt;
 }
 
 void
@@ -62,15 +82,14 @@ Cache::store(const CellKey &key, const CellResult &result) const
     if (ec)
         return; // caching is best-effort; the run still has results
 
-    // Durable atomic write (unique tmp sibling, fsync, rename) via
-    // the checkpoint layer: a cache entry torn by a crash or power
-    // cut would otherwise be read back as a miss at best and a
-    // wrong-but-parseable record at worst. Still best-effort: a
-    // failed write just forfeits the cache entry.
-    const std::string line = cellRecordLine(key, result) + "\n";
-    const std::vector<std::uint8_t> bytes(line.begin(), line.end());
-    const Result<void> written =
-        ckpt::atomicWriteFile(entryPath(key), bytes);
+    // A checkpoint container written atomically (unique tmp sibling,
+    // fsync, rename): a crash leaves the whole entry or none, and
+    // the container's checksums catch any later damage. Still
+    // best-effort: a failed write just forfeits the cache entry.
+    const std::string line = cellRecordLine(key, result);
+    const Result<void> written = ckpt::saveFile(
+        entryPath(key), addressOf(key),
+        std::vector<std::uint8_t>(line.begin(), line.end()));
     if (!written.ok())
         return;
 }

@@ -1,20 +1,26 @@
 /**
  * @file
- * Content-addressed on-disk result cache.
+ * Content-addressed on-disk result cache: the runner's one store of
+ * completed cells, and what a killed sweep resumes from.
  *
- * A cell's cache entry lives at `<dir>/<key>.json` where
+ * A cell's cache entry lives at `<dir>/<key>.gckp` where
  * `key = hex(mix(cell fingerprint, version tag))`: the fingerprint
  * covers every field of the cell spec, and the version tag names the
  * simulator code generation (kCodeVersion) — changing either
  * re-addresses the entry, so any spec or code change is a miss and
  * warm entries are never silently stale.
  *
- * The stored payload is the cell's deterministic JSONL record
- * itself: a hit parses the stored line, and re-serialising the
- * parsed result reproduces the stored bytes exactly (doubles are
- * written round-trip-exact — see common/json.hh), which the cache
- * tests assert bit-for-bit. Unreadable or corrupt entries degrade to
- * a miss, never an error.
+ * Each entry is a checkpoint container (ckpt::saveFile) whose config
+ * fingerprint is the key itself and whose payload is the cell's
+ * deterministic JSONL record line. A hit parses the stored line, and
+ * re-serialising the parsed result reproduces the stored bytes
+ * exactly (doubles are written round-trip-exact — see
+ * common/json.hh), which the cache tests assert bit-for-bit. Every
+ * entry is written once, atomically, the moment its cell completes,
+ * so rerunning a killed sweep against the same directory recomputes
+ * only what never finished. A bit flip, a torn file or an entry
+ * renamed onto another key fails the container checks and is a
+ * miss with a typed reason, never a wrong result and never an error.
  */
 
 #ifndef EXP_CACHE_HH
@@ -51,11 +57,13 @@ class Cache
                    std::string version_tag = kCodeVersion);
 
     /**
-     * Look up @p key. A hit also verifies the stored record's own
-     * fingerprint field against @p key (defence against renamed or
-     * hand-edited files).
+     * Look up @p key. An absent entry is a quiet miss. An entry that
+     * fails the container checks, does not parse, or records another
+     * cell's fingerprint is a miss too, and @p rejected (when given)
+     * receives `<path>: <typed error>`.
      */
-    std::optional<CellResult> load(const CellKey &key) const;
+    std::optional<CellResult> load(const CellKey &key,
+                                   std::string *rejected = nullptr) const;
 
     /** Store @p result under @p key (atomic tmp-file + rename). */
     void store(const CellKey &key, const CellResult &result) const;

@@ -12,7 +12,7 @@
  * Determinism contract: the pool guarantees *nothing* about
  * execution order — cells must be independent pure functions of
  * their spec, and callers commit results by index (see
- * exp::runExperiment), so the observable output is identical for
+ * exp::Runner::run), so the observable output is identical for
  * every jobs count. `jobs == 1` runs inline on the calling thread
  * with no threads created, which doubles as the reference schedule
  * for the determinism regression tests.

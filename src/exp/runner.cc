@@ -8,8 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include <algorithm>
-
 #include "common/cancel.hh"
 #include "common/error.hh"
 #include "common/json.hh"
@@ -156,8 +154,6 @@ RunSummary::describe() const
         "%zu error(s), %.1f s wall",
         total, executed, cacheHits, 100.0 * cacheHitRate(), errors,
         wallMs / 1000.0);
-    if (resumed > 0)
-        line += strprintf(", %zu resumed", resumed);
     if (timeouts > 0)
         line += strprintf(", %zu timeout(s)", timeouts);
     return line;
@@ -186,38 +182,18 @@ Runner::openArtifacts()
               _options.jsonlPath.c_str());
 }
 
-void
-Runner::openManifest()
-{
-    if (_manifestOpen || _options.ckptDir.empty())
-        return;
-    _manifestOpen = true;
-    _manifest.emplace(_options.ckptDir, _options.versionTag);
-    if (!_options.resume)
-        return;
-    const ckpt::LoadReport report = _manifest->load();
-    if (_options.progress) {
-        std::ostream &os = _options.progressStream
-                               ? *_options.progressStream
-                               : std::cerr;
-        for (const std::string &note : report.notes)
-            os << "[ckpt] rejected manifest: " << note << "\n";
-        if (!report.source.empty())
-            os << "[ckpt] resuming " << _manifest->size()
-               << " completed cell(s) from " << report.source << "\n";
-    }
-}
-
 std::vector<CellResult>
 Runner::run(const ExperimentSpec &spec)
 {
     const std::size_t n = spec.cells.size();
     std::vector<CellResult> results(n);
     // How each slot was filled, for the .meta sidecar.
-    enum : char { kMiss = 0, kHit = 1, kResume = 2, kTimeout = 3 };
+    enum : char { kMiss = 0, kHit = 1, kTimeout = 2 };
     std::vector<char> source(n, kMiss);
     std::vector<double> wall_ms(n, 0.0);
     std::vector<ObsProfile> profiles(n);
+    // Why an existing cache entry was refused (empty: it was not).
+    std::vector<std::string> rejected(n);
 
     const bool use_obs = obs::kEnabled && !_options.obsDir.empty();
     if (use_obs)
@@ -225,43 +201,15 @@ Runner::run(const ExperimentSpec &spec)
 
     std::optional<Cache> cache;
     if (!_options.cacheDir.empty())
-        cache.emplace(_options.cacheDir, _options.versionTag);
-    openManifest();
+        cache.emplace(_options.cacheDir);
 
-    std::ostream *progress_os =
-        _options.progressStream ? _options.progressStream
-                                : &std::cerr;
     std::optional<ProgressLine> progress;
     if (_options.progress)
-        progress.emplace(*progress_os, spec.name, n);
+        progress.emplace(std::cerr, spec.name, n);
 
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> hits{0};
-    std::atomic<std::size_t> resumed{0};
     std::atomic<std::size_t> timeouts{0};
-
-    // The manifest is shared mutable state across workers; every
-    // touch goes through this mutex (lookups included — record()
-    // rebalances the map under concurrent readers otherwise).
-    std::mutex manifest_mutex;
-    const auto record_completion = [&](const CellKey &key,
-                                       const CellResult &result) {
-        if (!_manifest)
-            return;
-        const std::lock_guard<std::mutex> lock(manifest_mutex);
-        _manifest->record(key, result);
-        if (++_sinceCkpt <
-            std::max<std::size_t>(std::size_t{1}, _options.ckptEvery))
-            return;
-        _sinceCkpt = 0;
-        const Result<void> saved = _manifest->persist();
-        if (!saved.ok() && !_manifestBroken) {
-            _manifestBroken = true;
-            *progress_os << "\n[ckpt] manifest persist failed ("
-                         << saved.error().describe()
-                         << "); continuing without checkpoints\n";
-        }
-    };
 
     const auto start = Clock::now();
     _pool.parallelFor(n, [&](std::size_t i) {
@@ -272,29 +220,12 @@ Runner::run(const ExperimentSpec &spec)
             wall_ms[i] = msSince(cell_start);
             if (progress)
                 progress->completed(done.fetch_add(1) + 1,
-                                    hits.load() + resumed.load());
+                                    hits.load());
         };
-        if (_manifest && _options.resume) {
-            std::optional<CellResult> prior;
-            {
-                const std::lock_guard<std::mutex> lock(
-                    manifest_mutex);
-                prior = _manifest->lookup(cell.key);
-            }
-            if (prior) {
-                results[i] = std::move(*prior);
-                resumed.fetch_add(1, std::memory_order_relaxed);
-                finish_cell(kResume);
-                return;
-            }
-        }
         if (cache) {
-            if (auto cached = cache->load(cell.key)) {
+            if (auto cached = cache->load(cell.key, &rejected[i])) {
                 results[i] = std::move(*cached);
                 hits.fetch_add(1, std::memory_order_relaxed);
-                // A cache hit still completes the cell: record it so
-                // the manifest stays a full completion log.
-                record_completion(cell.key, results[i]);
                 finish_cell(kHit);
                 return;
             }
@@ -319,7 +250,7 @@ Runner::run(const ExperimentSpec &spec)
                             _options.cellTimeoutMs)));
             std::optional<obs::Sink> sink;
             if (use_obs)
-                sink.emplace(_options.obsRingCapacity);
+                sink.emplace();
             results[i] = cell.body({sink ? &*sink : nullptr, token});
             timed_out = token.cancelled() && results[i].skipped();
             // A cell that never opened the sink's windows did not
@@ -344,30 +275,21 @@ Runner::run(const ExperimentSpec &spec)
                         .describe(),
                 true};
             timeouts.fetch_add(1, std::memory_order_relaxed);
-            // Neither cached nor recorded: a resume retries it.
+            // Never cached: a rerun retries it.
             finish_cell(kTimeout);
             return;
         }
         if (cache)
             cache->store(cell.key, results[i]);
-        record_completion(cell.key, results[i]);
         finish_cell(kMiss);
     });
     const double stage_ms = msSince(start);
 
-    // Persist the tail of completions (< ckptEvery since the last
-    // periodic save) so a between-stages crash loses nothing.
-    if (_manifest && !_manifestBroken) {
-        const std::lock_guard<std::mutex> lock(manifest_mutex);
-        _sinceCkpt = 0;
-        const Result<void> saved = _manifest->persist();
-        if (!saved.ok()) {
-            _manifestBroken = true;
-            *progress_os << "\n[ckpt] manifest persist failed ("
-                         << saved.error().describe()
-                         << "); continuing without checkpoints\n";
-        }
-    }
+    // A rejected entry was served as a miss; say why once per entry,
+    // in spec order, after the progress line has finished.
+    for (const std::string &why : rejected)
+        if (!why.empty())
+            std::cerr << "[cache] rejected entry: " << why << "\n";
 
     // Commit order is spec order, whatever the schedule was: the
     // JSONL artifact is byte-identical across jobs counts.
@@ -385,11 +307,9 @@ Runner::run(const ExperimentSpec &spec)
                   << ",\"fingerprint\":\""
                   << Fingerprint::hex(key.fingerprint) << "\""
                   << ",\"cache\":\""
-                  << (source[i] == kHit      ? "hit"
-                      : source[i] == kResume ? "resume"
-                      : source[i] == kTimeout
-                          ? "timeout"
-                          : "miss")
+                  << (source[i] == kHit       ? "hit"
+                      : source[i] == kTimeout ? "timeout"
+                                              : "miss")
                   << "\",\"wall_ms\":" << json::number(wall_ms[i])
                   << ",\"acts_per_ms\":"
                   << json::number(
@@ -412,7 +332,7 @@ Runner::run(const ExperimentSpec &spec)
                 ++stage_errors;
         _meta << "{\"stage\":" << json::quote(spec.name)
               << ",\"cells\":" << n << ",\"cache_hits\":"
-              << hits.load() << ",\"resumed\":" << resumed.load()
+              << hits.load()
               << ",\"timeouts\":" << timeouts.load()
               << ",\"errors\":" << stage_errors
               << ",\"jobs\":" << _pool.jobs()
@@ -442,21 +362,13 @@ Runner::run(const ExperimentSpec &spec)
 
     _summary.total += n;
     _summary.cacheHits += hits.load();
-    _summary.resumed += resumed.load();
     _summary.timeouts += timeouts.load();
-    _summary.executed += n - hits.load() - resumed.load();
+    _summary.executed += n - hits.load();
     for (const auto &r : results)
         if (r.skipped())
             ++_summary.errors;
     _summary.wallMs += stage_ms;
     return results;
-}
-
-std::vector<CellResult>
-runExperiment(const ExperimentSpec &spec, const RunOptions &options)
-{
-    Runner runner(options);
-    return runner.run(spec);
 }
 
 } // namespace exp

@@ -23,16 +23,12 @@
 #define EXP_RUNNER_HH
 
 #include <fstream>
-#include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "exp/cache.hh"
 #include "exp/cell.hh"
-#include "exp/manifest.hh"
 #include "exp/pool.hh"
-#include "obs/ring.hh"
 #include "obs/rollup.hh"
 
 namespace graphene {
@@ -43,11 +39,12 @@ struct RunOptions
     /** Worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
 
-    /** Cache directory; empty = caching off. */
+    /**
+     * Cache directory; empty = caching off. Every completed cell is
+     * stored the moment it finishes, so rerunning a killed sweep
+     * with the same directory resumes it (see exp::Cache).
+     */
     std::string cacheDir;
-
-    /** Code-generation tag folded into every cache key. */
-    std::string versionTag = kCodeVersion;
 
     /** Primary JSONL artifact path; empty = no artifacts. */
     std::string jsonlPath;
@@ -62,32 +59,9 @@ struct RunOptions
      */
     std::string obsDir;
 
-    /** Per-bank event-ring capacity of traced cells. */
-    std::size_t obsRingCapacity = obs::kDefaultRingCapacity;
-
-    /** Emit a live progress line to @p progressStream. */
+    /** Emit a live progress line on std::cerr (kept off stdout:
+     *  tables live there). */
     bool progress = false;
-
-    /** Defaults to std::cerr (kept off stdout: tables live there). */
-    std::ostream *progressStream = nullptr;
-
-    /**
-     * Crash-resume checkpoint directory; empty = checkpointing off.
-     * Completed cells are recorded into `<ckptDir>/manifest.gckp`
-     * (see exp::Manifest) so an interrupted sweep can be resumed.
-     */
-    std::string ckptDir;
-
-    /** Persist the manifest every N completed cells (min 1). */
-    std::size_t ckptEvery = 1;
-
-    /**
-     * Serve cells recorded in the latest valid manifest instead of
-     * recomputing them. The primary JSONL artifact is still written
-     * in full, byte-identical to an uninterrupted run, because
-     * record lines are pure functions of the cell spec.
-     */
-    bool resume = false;
 
     /**
      * Per-cell wall-clock budget in milliseconds; 0 = unlimited.
@@ -95,8 +69,7 @@ struct RunOptions
      * CancelToken deadline the body polls), never by killing
      * threads; a body that never polls runs to completion. A
      * timed-out cell reports an ErrorCode::Timeout-style error result
-     * and is neither cached nor recorded in the manifest, so a later
-     * resume retries it from scratch.
+     * and is never cached, so a rerun retries it from scratch.
      */
     double cellTimeoutMs = 0.0;
 
@@ -111,7 +84,6 @@ struct RunSummary
     std::size_t total = 0;     ///< Cells scheduled.
     std::size_t executed = 0;  ///< Cells actually computed.
     std::size_t cacheHits = 0; ///< Cells served from the cache.
-    std::size_t resumed = 0;   ///< Cells served from the manifest.
     std::size_t timeouts = 0;  ///< Cells that exhausted their budget.
     std::size_t errors = 0;    ///< Cells that returned an error.
     double wallMs = 0.0;       ///< Wall time inside run() calls.
@@ -145,31 +117,17 @@ class Runner
 
   private:
     void openArtifacts();
-    void openManifest();
 
     RunOptions _options;
     Pool _pool;
     std::ofstream _jsonl;
     std::ofstream _meta;
     bool _artifactsOpen = false;
-    /// Crash-resume manifest (ckptDir set); shared across stages so
-    /// a multi-stage sweep checkpoints as one unit.
-    std::optional<Manifest> _manifest;
-    bool _manifestOpen = false;
-    /// Completions since the manifest was last persisted.
-    std::size_t _sinceCkpt = 0;
-    /// First manifest persist failure (reported once, then the run
-    /// carries on without checkpoint durability).
-    bool _manifestBroken = false;
     /// Cross-cell telemetry rollup, accumulated over every traced
     /// cell of every stage (none under GRAPHENE_OBS_OFF).
     obs::Rollup _obsRollup;
     RunSummary _summary;
 };
-
-/** One-shot convenience for single-stage experiments. */
-std::vector<CellResult> runExperiment(const ExperimentSpec &spec,
-                                      const RunOptions &options = {});
 
 } // namespace exp
 } // namespace graphene

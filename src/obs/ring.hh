@@ -23,7 +23,7 @@
 namespace graphene {
 namespace obs {
 
-/** Default per-bank event capacity (see RunOptions::obsRingCapacity). */
+/** Default per-bank event capacity (every traced runner cell's). */
 inline constexpr std::size_t kDefaultRingCapacity = 1u << 14;
 
 class EventRing

@@ -32,6 +32,48 @@ ensureDir(const std::string &dir)
     return Result<void>::success();
 }
 
+/**
+ * Atomically write the first @p lines lines of the JSONL at @p from
+ * to @p to (the same path truncates in place). Fails with Io when
+ * @p from is unreadable or shorter; @p recorder names the artifact
+ * that promised those lines, for the message.
+ */
+Result<void>
+copyJsonlPrefix(const std::string &from, const std::string &to,
+                std::uint64_t lines, const char *recorder)
+{
+    std::ifstream in(from);
+    if (!in)
+        return Error(ErrorCode::Io,
+                     strprintf("cannot read '%s', but %s recorded "
+                               "%llu line(s) of it",
+                               from.c_str(), recorder,
+                               static_cast<unsigned long long>(
+                                   lines)));
+    std::string kept;
+    std::string line;
+    std::uint64_t have = 0;
+    while (have < lines && std::getline(in, line)) {
+        kept += line;
+        kept += '\n';
+        ++have;
+    }
+    if (have < lines)
+        return Error(
+            ErrorCode::Io,
+            strprintf("'%s' holds %llu line(s) but %s recorded %llu: "
+                      "the flush-before-checkpoint ordering was "
+                      "violated or the file was altered",
+                      from.c_str(),
+                      static_cast<unsigned long long>(have), recorder,
+                      static_cast<unsigned long long>(lines)));
+    in.close();
+    // Atomic: a crash mid-copy must not leave @p to shorter than the
+    // prefix the recorder promises is durable.
+    return ckpt::atomicWriteFile(
+        to, std::vector<std::uint8_t>(kept.begin(), kept.end()));
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -108,17 +150,7 @@ SessionSpec::save(ckpt::Writer &w) const
     w.u64(scheme.seed);
     source.save(w);
     w.u64(rowsPerBank);
-    w.f64(timing.tCK.value());
-    w.f64(timing.tREFI.value());
-    w.f64(timing.tRFC.value());
-    w.f64(timing.tRC.value());
-    w.f64(timing.tRCD.value());
-    w.f64(timing.tRP.value());
-    w.f64(timing.tCL.value());
-    w.f64(timing.tRAS.value());
-    w.f64(timing.tBL.value());
-    w.f64(timing.tREFW.value());
-    w.f64(timing.tFAW.value());
+    timing.save(w);
     w.f64(actRate);
     w.f64(windows);
     w.u64(statsWindowCycles);
@@ -142,17 +174,7 @@ SessionSpec::load(ckpt::Reader &r)
     spec.scheme.seed = r.u64();
     spec.source = SourceSpec::load(r);
     spec.rowsPerBank = r.u64();
-    spec.timing.tCK = Nanoseconds{r.f64()};
-    spec.timing.tREFI = Nanoseconds{r.f64()};
-    spec.timing.tRFC = Nanoseconds{r.f64()};
-    spec.timing.tRC = Nanoseconds{r.f64()};
-    spec.timing.tRCD = Nanoseconds{r.f64()};
-    spec.timing.tRP = Nanoseconds{r.f64()};
-    spec.timing.tCL = Nanoseconds{r.f64()};
-    spec.timing.tRAS = Nanoseconds{r.f64()};
-    spec.timing.tBL = Nanoseconds{r.f64()};
-    spec.timing.tREFW = Nanoseconds{r.f64()};
-    spec.timing.tFAW = Nanoseconds{r.f64()};
+    spec.timing = dram::TimingParams::load(r);
     spec.actRate = r.f64();
     spec.windows = r.f64();
     spec.statsWindowCycles = r.u64();
@@ -249,47 +271,6 @@ Session::openJsonl(bool truncate)
 }
 
 Result<void>
-Session::truncateJsonlTo(std::uint64_t lines)
-{
-    const std::string path = jsonlPath();
-    std::ifstream in(path);
-    if (!in) {
-        if (lines == 0)
-            return Result<void>::success();
-        return Error(ErrorCode::Io,
-                     strprintf("session artifact '%s' is missing but "
-                               "the checkpoint recorded %llu durable "
-                               "line(s)",
-                               path.c_str(),
-                               static_cast<unsigned long long>(
-                                   lines)));
-    }
-    std::string kept;
-    std::string line;
-    std::uint64_t have = 0;
-    while (have < lines && std::getline(in, line)) {
-        kept += line;
-        kept += '\n';
-        ++have;
-    }
-    if (have < lines)
-        return Error(
-            ErrorCode::Io,
-            strprintf("session artifact '%s' holds %llu line(s) but "
-                      "the checkpoint recorded %llu as durable: the "
-                      "flush-before-checkpoint ordering was violated "
-                      "or the file was altered",
-                      path.c_str(),
-                      static_cast<unsigned long long>(have),
-                      static_cast<unsigned long long>(lines)));
-    in.close();
-    // Atomic rewrite: a crash mid-truncation must not shrink the
-    // artifact below what the checkpoint promises is durable.
-    std::vector<std::uint8_t> bytes(kept.begin(), kept.end());
-    return ckpt::atomicWriteFile(path, bytes);
-}
-
-Result<void>
 Session::start()
 {
     Result<void> built = build();
@@ -325,9 +306,15 @@ Session::startResumed()
             return started.error();
         return report;
     }
-    Result<void> trunc = truncateJsonlTo(_linesEmitted);
-    if (!trunc.ok())
-        return trunc.error();
+    // A missing JSONL with nothing durable is simply reopened.
+    std::error_code ec;
+    if (_linesEmitted != 0 ||
+        std::filesystem::exists(jsonlPath(), ec)) {
+        Result<void> trunc = copyJsonlPrefix(
+            jsonlPath(), jsonlPath(), _linesEmitted, "the checkpoint");
+        if (!trunc.ok())
+            return trunc.error();
+    }
     Result<void> opened = openJsonl(/*truncate=*/false);
     if (!opened.ok())
         return opened.error();
@@ -350,33 +337,12 @@ Session::startForked(const std::vector<std::uint8_t> &payload,
 
     // Seed the child artifact with the parent's durable prefix: the
     // finished file must be byte-identical to a fresh full run.
-    std::ifstream in(parent_jsonl);
-    if (!in)
-        return Error(ErrorCode::Io,
-                     strprintf("cannot read parent artifact '%s'",
-                               parent_jsonl.c_str()));
-    std::string kept;
-    std::string line;
-    std::uint64_t have = 0;
-    while (have < _linesEmitted && std::getline(in, line)) {
-        kept += line;
-        kept += '\n';
-        ++have;
-    }
-    if (have < _linesEmitted)
-        return Error(
-            ErrorCode::Io,
-            strprintf("parent artifact '%s' holds %llu line(s) but "
-                      "the fork artifact recorded %llu",
-                      parent_jsonl.c_str(),
-                      static_cast<unsigned long long>(have),
-                      static_cast<unsigned long long>(
-                          _linesEmitted)));
     Result<void> dir = ensureDir(_outDir);
     if (!dir.ok())
         return dir.error();
-    std::vector<std::uint8_t> bytes(kept.begin(), kept.end());
-    Result<void> seeded = ckpt::atomicWriteFile(jsonlPath(), bytes);
+    Result<void> seeded = copyJsonlPrefix(parent_jsonl, jsonlPath(),
+                                          _linesEmitted,
+                                          "the fork artifact");
     if (!seeded.ok())
         return seeded.error();
     Result<void> opened = openJsonl(/*truncate=*/false);

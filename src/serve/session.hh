@@ -224,7 +224,6 @@ class Session
   private:
     Result<void> build();
     Result<void> openJsonl(bool truncate);
-    Result<void> truncateJsonlTo(std::uint64_t lines);
     void emitLine(const std::string &line);
     void emitWindowLine(Cycle end_cycle);
     void finalize();

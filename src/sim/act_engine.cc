@@ -257,18 +257,7 @@ ActStreamEngine::configFingerprint() const
     enc.u32(_config.scheme.grapheneK);
     enc.boolean(_config.scheme.cbtAssumeContiguous);
     enc.u64(_config.scheme.seed);
-    const dram::TimingParams &t = _config.timing;
-    enc.f64(t.tCK.value());
-    enc.f64(t.tREFI.value());
-    enc.f64(t.tRFC.value());
-    enc.f64(t.tRC.value());
-    enc.f64(t.tRCD.value());
-    enc.f64(t.tRP.value());
-    enc.f64(t.tCL.value());
-    enc.f64(t.tRAS.value());
-    enc.f64(t.tBL.value());
-    enc.f64(t.tREFW.value());
-    enc.f64(t.tFAW.value());
+    _config.timing.save(enc);
     enc.u64(_config.rowsPerBank);
     enc.f64(_config.actRate);
     enc.f64(_config.windows);

@@ -144,7 +144,7 @@ class ActStreamEngine
 
     /**
      * Step until the next ACT slot would start at or after @p stop —
-     * the checkpoint boundary used by the runner's --ckpt-every.
+     * the boundary a serve session's quantum stops at to checkpoint.
      * @return true if the run completed before reaching @p stop.
      */
     bool runUntil(Cycle stop);

@@ -3,15 +3,20 @@
  * Content-addressed cache: hits reproduce the stored record
  * bit-for-bit, any fingerprint or version-tag change re-addresses
  * the entry, and corruption degrades to a miss — never a wrong
- * result and never an abort.
+ * result and never an abort. Each entry is a checkpoint container
+ * keyed by its own address, so an edited digit, a torn file, a
+ * renamed entry or one from another code version is refused with a
+ * typed reason.
  */
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/checkpoint.hh"
 #include "exp/cache.hh"
 #include "exp/fingerprint.hh"
 #include "sim/experiment.hh"
@@ -58,6 +63,21 @@ sampleResult()
     return r;
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::trunc | std::ios::binary) << bytes;
+}
+
 TEST(ExpCache, MissOnEmptyDirectory)
 {
     const Cache cache(freshDir("exp-cache-miss"));
@@ -87,9 +107,11 @@ TEST(ExpCache, HitIsBitForBit)
     const auto result = sampleResult();
     cache.store(key, result);
 
-    std::ifstream in(cache.entryPath(key));
-    std::string stored;
-    ASSERT_TRUE(std::getline(in, stored));
+    const Result<ckpt::Blob> blob =
+        ckpt::loadFile(cache.entryPath(key), std::nullopt);
+    ASSERT_TRUE(blob.ok()) << blob.error().describe();
+    const std::string stored(blob.value().payload.begin(),
+                             blob.value().payload.end());
     EXPECT_EQ(stored, exp::cellRecordLine(key, *cache.load(key)));
     EXPECT_EQ(stored, exp::cellRecordLine(key, result));
 }
@@ -123,23 +145,94 @@ TEST(ExpCache, CorruptEntryDegradesToMiss)
     const auto key = sampleKey();
     cache.store(key, sampleResult());
 
-    std::ofstream(cache.entryPath(key), std::ios::trunc)
-        << "{\"not\":\"a cell record\"}\n";
+    spit(cache.entryPath(key), "{\"not\":\"a cell record\"}\n");
     EXPECT_FALSE(cache.load(key).has_value());
+}
+
+TEST(ExpCache, EditedDigitIsAMiss)
+{
+    // One digit of a count changed in place still parses and still
+    // names the cell; only the container checksum can tell.
+    const Cache cache(freshDir("exp-cache-edited"));
+    const auto key = sampleKey();
+    cache.store(key, sampleResult());
+
+    std::string bytes = slurp(cache.entryPath(key));
+    const std::string field = "\"victim_rows\":42";
+    const std::size_t at = bytes.find(field);
+    ASSERT_NE(at, std::string::npos);
+    bytes[at + field.size() - 1] = '3';
+    spit(cache.entryPath(key), bytes);
+    EXPECT_FALSE(cache.load(key).has_value())
+        << "an edited entry was served as a result";
+}
+
+TEST(ExpCache, TruncatedEntryIsATypedMiss)
+{
+    const Cache cache(freshDir("exp-cache-truncated"));
+    const auto key = sampleKey();
+    cache.store(key, sampleResult());
+
+    const std::string bytes = slurp(cache.entryPath(key));
+    spit(cache.entryPath(key), bytes.substr(0, bytes.size() / 2));
+    std::string why;
+    EXPECT_FALSE(cache.load(key, &why).has_value());
+    EXPECT_NE(why.find("ckpt-truncated"), std::string::npos) << why;
+    EXPECT_EQ(why.rfind(cache.entryPath(key), 0), 0u) << why;
+}
+
+TEST(ExpCache, RenamedEntryIsATypedMismatch)
+{
+    // Another cell's intact entry moved onto our address.
+    const Cache cache(freshDir("exp-cache-renamed"));
+    const auto key = sampleKey();
+    auto other = key;
+    other.fingerprint = 0x9999999999999999ULL;
+    cache.store(other, sampleResult());
+    std::filesystem::rename(cache.entryPath(other),
+                            cache.entryPath(key));
+
+    std::string why;
+    EXPECT_FALSE(cache.load(key, &why).has_value());
+    EXPECT_NE(why.find("mismatch"), std::string::npos) << why;
+}
+
+TEST(ExpCache, EntryFromADifferentCodeVersionIsATypedMismatch)
+{
+    const auto dir = freshDir("exp-cache-old-version");
+    const auto key = sampleKey();
+    const Cache old_code(dir, "old-code-version");
+    const Cache cache(dir, "exp-test-v1");
+    old_code.store(key, sampleResult());
+    std::filesystem::rename(old_code.entryPath(key),
+                            cache.entryPath(key));
+
+    std::string why;
+    EXPECT_FALSE(cache.load(key, &why).has_value());
+    EXPECT_NE(why.find("mismatch"), std::string::npos) << why;
 }
 
 TEST(ExpCache, ForeignEntryUnderOurAddressIsAMiss)
 {
-    // A record whose own fingerprint field disagrees with the key
-    // (renamed or hand-copied file) must not be served.
+    // An intact container at our address whose record names another
+    // cell (a hand-built entry) must not be served.
     const Cache cache(freshDir("exp-cache-foreign"));
     const auto key = sampleKey();
+    cache.store(key, sampleResult());
+    const Result<ckpt::Blob> framing =
+        ckpt::loadFile(cache.entryPath(key), std::nullopt);
+    ASSERT_TRUE(framing.ok());
+
     auto other = key;
     other.fingerprint = 0x9999999999999999ULL;
-    std::filesystem::create_directories(cache.dir());
-    std::ofstream(cache.entryPath(key), std::ios::trunc)
-        << exp::cellRecordLine(other, sampleResult()) << "\n";
-    EXPECT_FALSE(cache.load(key).has_value());
+    const std::string line = exp::cellRecordLine(other, sampleResult());
+    ASSERT_TRUE(ckpt::saveFile(cache.entryPath(key),
+                               framing.value().configFingerprint,
+                               {line.begin(), line.end()})
+                    .ok());
+    std::string why;
+    EXPECT_FALSE(cache.load(key, &why).has_value());
+    EXPECT_NE(why.find("mismatch"), std::string::npos) << why;
 }
 
 TEST(ExpCache, SkippedCellsCacheTheirError)
