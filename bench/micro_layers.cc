@@ -2,11 +2,14 @@
  * @file
  * Google-benchmark microbenchmarks of the layers a system-sim request
  * crosses before it reaches a protection scheme: Zipf rank sampling,
- * synthetic address generation, address decode, rank set-up and the
+ * synthetic address generation (one core, and a 16-core cell drawn
+ * round-robin), address decode, rank set-up and the
  * fault oracle's onActivate in its sparse and its dense mode.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -14,6 +17,7 @@
 #include "dram/address.hh"
 #include "dram/fault_model.hh"
 #include "dram/rank.hh"
+#include "workloads/profiles.hh"
 #include "workloads/synthetic.hh"
 
 namespace {
@@ -48,6 +52,30 @@ BM_SyntheticNext(benchmark::State &state)
         benchmark::DoNotOptimize(gen.next());
 }
 BENCHMARK(BM_SyntheticNext);
+
+/**
+ * A rate-mode cell's generation: 16 cores running mcf (16Ki rows,
+ * theta 0.3), each with its own generator, drawn round-robin as the
+ * system sim interleaves them. Unlike BM_SyntheticNext it sees the
+ * cell's Zipf footprint.
+ */
+void
+BM_SyntheticCell(benchmark::State &state)
+{
+    const dram::AddressMapper mapper{dram::Geometry{}};
+    const workloads::SyntheticParams params =
+        workloads::appProfile("mcf").value();
+    std::vector<workloads::SyntheticGenerator> gens;
+    gens.reserve(16);
+    for (unsigned core = 0; core < 16; ++core)
+        gens.emplace_back(params, mapper, core, 1);
+    std::size_t core = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gens[core].next());
+        core = (core + 1) % gens.size();
+    }
+}
+BENCHMARK(BM_SyntheticCell);
 
 void
 BM_AddressDecode(benchmark::State &state)

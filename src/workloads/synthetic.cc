@@ -7,21 +7,36 @@
 namespace graphene {
 namespace workloads {
 
+namespace {
+
+/** @p params, once its working set is known to fit a bank; run first
+ *  in the member-init list, before the sampler or the divisor is
+ *  built from it. */
+const SyntheticParams &
+checkedParams(const SyntheticParams &params,
+              const dram::AddressMapper &mapper)
+{
+    GRAPHENE_CHECK(params.workingSetRows > 0,
+                   "synthetic workload: empty working set");
+    GRAPHENE_CHECK(params.workingSetRows <= mapper.geometry().rowsPerBank,
+                   "synthetic workload: working set exceeds bank rows");
+    return params;
+}
+
+} // namespace
+
 SyntheticGenerator::SyntheticGenerator(const SyntheticParams &params,
                                        const dram::AddressMapper &mapper,
                                        unsigned core_id,
                                        std::uint64_t seed)
-    : _params(params), _mapper(mapper), _coreId(core_id),
+    : _params(checkedParams(params, mapper)), _mapper(mapper),
+      _coreId(core_id),
       _rng(seed ^ (0x5851f42d4c957f2dULL * (core_id + 1))),
       _zipf(params.workingSetRows,
             params.zipfTheta > 0.0 ? params.zipfTheta : 1e-9),
       _workingSetRows(params.workingSetRows)
 {
     const auto &g = mapper.geometry();
-    GRAPHENE_CHECK(params.workingSetRows > 0,
-                   "synthetic workload: empty working set");
-    GRAPHENE_CHECK(params.workingSetRows <= g.rowsPerBank,
-                   "synthetic workload: working set exceeds bank rows");
     // Spread the cores' working sets across the row space so that
     // multiprogrammed mixes do not alias (OS page placement).
     const std::uint64_t stride = g.rowsPerBank / 16;

@@ -82,6 +82,8 @@ class SyntheticGenerator
   private:
     Addr lineFor(std::uint64_t row_rank, std::uint64_t line_in_row);
 
+    /// Declared first: its initialiser checks the working set before
+    /// _zipf and _workingSetRows are built from it.
     SyntheticParams _params;
     const dram::AddressMapper &_mapper;
     unsigned _coreId;

@@ -97,6 +97,25 @@ TEST(Synthetic, CoresUseDistinctWorkingSets)
     EXPECT_TRUE(overlap.empty());
 }
 
+// The working-set checks run before the Zipf sampler or the working-set
+// divisor is built from the parameters, so each reports its own
+// message rather than a failure from inside either.
+TEST(Synthetic, EmptyWorkingSetIsRejectedFirst)
+{
+    const dram::AddressMapper mapper{dram::Geometry{}};
+    SyntheticParams p;
+    p.workingSetRows = 0;
+    EXPECT_DEATH(SyntheticGenerator(p, mapper, 0, 1), "empty working set");
+}
+
+TEST(Synthetic, OversizedWorkingSetIsRejectedFirst)
+{
+    const dram::AddressMapper mapper{dram::Geometry{}};
+    SyntheticParams p;
+    p.workingSetRows = mapper.geometry().rowsPerBank + 1;
+    EXPECT_DEATH(SyntheticGenerator(p, mapper, 0, 1), "exceeds bank rows");
+}
+
 TEST(Profiles, AllNamedAppsResolve)
 {
     for (const auto &app : specHighApps())
