@@ -4,7 +4,8 @@
  * crosses before it reaches a protection scheme: Zipf rank sampling,
  * synthetic address generation (one core, and a 16-core cell drawn
  * round-robin), address decode, rank set-up and the
- * fault oracle's onActivate in its sparse and its dense mode.
+ * fault oracle's onActivate in its sparse and its dense mode, and
+ * across a cell's 64 fresh banks.
  */
 
 #include <benchmark/benchmark.h>
@@ -140,5 +141,48 @@ BM_FaultActivate(benchmark::State &state)
     state.SetLabel(uniform ? "dense" : "sparse");
 }
 BENCHMARK(BM_FaultActivate)->Arg(0)->Arg(1);
+
+/**
+ * The fault oracle as a sys-normal cell sees it: 64 fresh 64Ki-row
+ * banks, each fed ~3.7k ACTs drawn from 2048 rows of its own scattered
+ * over the bank, the banks interleaved at random, with an eight-row
+ * REF stripe every 23 ACTs of a bank. About half of the deposits
+ * insert a new row and each table grows from 16 to 8Ki slots (~3.3k
+ * live rows), so unlike BM_FaultActivate's one warm bank this case
+ * sees the cell's footprint and its growth. Every 64 x 3700 ACTs the
+ * banks are built afresh, and that counts in the time per ACT.
+ */
+void
+BM_FaultCell(benchmark::State &state)
+{
+    constexpr unsigned kBanks = 64;
+    constexpr std::uint64_t kRows = 65536;
+    constexpr std::uint64_t kSpan = 2048;
+    constexpr std::uint64_t kActsPerCell = kBanks * 3700;
+    Rng rng(4);
+    std::vector<Row> aggressors(kBanks * kSpan);
+    for (Row &row : aggressors)
+        row = Row{static_cast<Row::rep>(1 + rng.nextRange(kRows - 2))};
+    std::vector<dram::FaultModel> banks;
+    std::vector<std::uint64_t> acts;
+    std::vector<Row> stripes;
+    std::uint64_t left = 0;
+    for (auto _ : state) {
+        if (left == 0) {
+            banks.assign(kBanks, dram::FaultModel(dram::FaultConfig{}, kRows));
+            acts.assign(kBanks, 0);
+            stripes.assign(kBanks, Row{});
+            left = kActsPerCell;
+        }
+        const auto b = static_cast<unsigned>(rng.nextRange(kBanks));
+        banks[b].onActivate(Cycle{--left},
+                            aggressors[b * kSpan + rng.nextRange(kSpan)]);
+        if (++acts[b] % 23 == 0) {
+            for (int i = 0; i < 8; ++i, ++stripes[b])
+                banks[b].onRowRefresh(stripes[b]);
+        }
+    }
+}
+BENCHMARK(BM_FaultCell);
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "ckpt/io.hh"
@@ -14,13 +16,16 @@ namespace dram {
 FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
     : _config(config), _numRows(num_rows)
 {
-    static_assert(sizeof(Cell) == 16,
+    static_assert(sizeof(CountCell) == 8 && sizeof(ChargeCell) == 16,
                   "sparse slots and dense cells must stay the same size");
     GRAPHENE_CHECK(!_config.mu.empty(),
                    "fault model: empty coefficient vector");
     GRAPHENE_CHECK(_config.rowHammerThreshold > 0.0,
                    "fault model: non-positive Row Hammer threshold");
 
+    if (std::any_of(_config.mu.begin(), _config.mu.end(),
+                    [](double m) { return m != 1.0; }))
+        _cells.emplace<std::vector<ChargeCell>>();
     resetCells();
 
     if (_config.remap) {
@@ -43,6 +48,14 @@ FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
 void
 FaultModel::onActivate(Cycle cycle, Row aggressor)
 {
+    std::visit([&](auto &cells) { activate(cells, cycle, aggressor); },
+               _cells);
+}
+
+template <class Cell>
+void
+FaultModel::activate(std::vector<Cell> &cells, Cycle cycle, Row aggressor)
+{
     const Row phys =
         _config.remap ? _toPhysical[aggressor.value()] : aggressor;
     for (unsigned d = 1; d <= _config.mu.size(); ++d) {
@@ -50,14 +63,14 @@ FaultModel::onActivate(Cycle cycle, Row aggressor)
         const auto dist = static_cast<Row::difference_type>(d);
         if (phys.value() >= d) {
             const Row victim_phys = phys - dist;
-            deposit(cycle,
+            deposit(cells, cycle,
                     _config.remap ? _toLogical[victim_phys.value()]
                                   : victim_phys,
                     amount);
         }
         if (phys.value() + d < _numRows) {
             const Row victim_phys = phys + dist;
-            deposit(cycle,
+            deposit(cells, cycle,
                     _config.remap ? _toLogical[victim_phys.value()]
                                   : victim_phys,
                     amount);
@@ -94,47 +107,57 @@ void
 FaultModel::resetCells()
 {
     _dense = _numRows / 4 < kMinSlots;
-    // Move-assign so a restore releases a dense array it replaces.
-    _cells = std::vector<Cell>(_dense ? _numRows : kMinSlots);
+    // Assign a fresh vector so a restore releases a dense array it
+    // replaces.
+    std::visit(
+        [this](auto &cells) {
+            cells = std::decay_t<decltype(cells)>(_dense ? _numRows
+                                                         : kMinSlots);
+        },
+        _cells);
     _live = 0;
 }
 
+template <class Cell>
 std::size_t
-FaultModel::homeSlot(Row row) const
+FaultModel::homeSlot(const std::vector<Cell> &cells, Row row)
 {
     // Aligned groups of eight rows keep eight consecutive home slots
-    // (two cache lines), so an aggressor's two neighbours and a REF
-    // stripe share lines; Fibonacci hashing scatters the groups.
-    const int group_bits = std::countr_zero(_cells.size()) - 3;
+    // (one cache line of count cells, two of charge cells), so an
+    // aggressor's two neighbours and a REF stripe share lines;
+    // Fibonacci hashing scatters the groups.
+    const int group_bits = std::countr_zero(cells.size()) - 3;
     const std::uint64_t group =
         (std::uint64_t{row.value() >> 3} * 0x9e3779b97f4a7c15ULL) >>
         (64 - group_bits);
     return static_cast<std::size_t>(group << 3 | (row.value() & 7));
 }
 
+template <class Cell>
 std::size_t
-FaultModel::slotOf(Row row) const
+FaultModel::slotOf(const std::vector<Cell> &cells, Row row)
 {
     const std::uint32_t key = row.value() + 1;
-    const std::size_t mask = _cells.size() - 1;
-    std::size_t i = homeSlot(row);
-    while (_cells[i].key != key && _cells[i].key != 0)
+    const std::size_t mask = cells.size() - 1;
+    std::size_t i = homeSlot(cells, row);
+    while (cells[i].key != key && cells[i].key != 0)
         i = (i + 1) & mask;
     return i;
 }
 
-FaultModel::Cell &
-FaultModel::cellFor(Row row)
+template <class Cell>
+Cell &
+FaultModel::cellFor(std::vector<Cell> &cells, Row row)
 {
     if (_dense)
-        return _cells[row.value()];
-    Cell *cell = &_cells[slotOf(row)];
+        return cells[row.value()];
+    Cell *cell = &cells[slotOf(cells, row)];
     if (cell->key == 0) {
-        if (2 * (_live + 1) > _cells.size()) {
-            grow();
+        if (2 * (_live + 1) > cells.size()) {
+            grow(cells);
             if (_dense)
-                return _cells[row.value()];
-            cell = &_cells[slotOf(row)];
+                return cells[row.value()];
+            cell = &cells[slotOf(cells, row)];
         }
         cell->key = row.value() + 1;
         ++_live;
@@ -142,36 +165,50 @@ FaultModel::cellFor(Row row)
     return *cell;
 }
 
+template <class Cell>
 void
-FaultModel::grow()
+FaultModel::grow(std::vector<Cell> &cells)
 {
-    const std::size_t slots = 2 * _cells.size();
+    const std::size_t slots = 2 * cells.size();
     // Past a quarter of the dense footprint: switch for good.
     _dense = slots > _numRows / 4;
     const std::vector<Cell> old =
-        std::exchange(_cells, std::vector<Cell>(_dense ? _numRows : slots));
-    for (const Cell &c : old) {
+        std::exchange(cells, std::vector<Cell>(_dense ? _numRows : slots));
+    for (Cell c : old) {
         if (c.key == 0)
             continue;
         const Row row{c.key - 1};
-        if (_dense)
-            _cells[row.value()] = Cell{c.disturbance, 0, c.flipped};
-        else
-            _cells[slotOf(row)] = c;
+        if (_dense) {
+            c.key = 0;
+            cells[row.value()] = c;
+        } else {
+            cells[slotOf(cells, row)] = c;
+        }
     }
 }
 
+template <class Cell>
 void
-FaultModel::deposit(Cycle cycle, Row victim, double amount)
+FaultModel::deposit(std::vector<Cell> &cells, Cycle cycle, Row victim,
+                    double amount)
 {
-    Cell &cell = cellFor(victim);
-    cell.disturbance += amount;
-    if (cell.disturbance > _peak)
-        _peak = cell.disturbance;
-    if (!cell.flipped &&
-        cell.disturbance >= _config.rowHammerThreshold) {
-        cell.flipped = true;
-        _flips.push_back({victim, cycle, cell.disturbance});
+    Cell &cell = cellFor(cells, victim);
+    if constexpr (std::is_same_v<Cell, CountCell>) {
+        // Unit weights: amount is 1.0.
+        GRAPHENE_CHECK((cell.state & ~CountCell::kFlipped) !=
+                           ~CountCell::kFlipped,
+                       "fault model: ACT count of row %u overflows",
+                       victim.value());
+        ++cell.state;
+    } else {
+        cell.disturbance += amount;
+    }
+    const double charge = cell.charge();
+    if (charge > _peak)
+        _peak = charge;
+    if (!cell.flipped() && charge >= _config.rowHammerThreshold) {
+        cell.latch();
+        _flips.push_back({victim, cycle, charge});
     }
 }
 
@@ -180,27 +217,34 @@ FaultModel::onRowRefresh(Row row)
 {
     GRAPHENE_CHECK(row.value() < _numRows,
                    "refresh of out-of-range row %u", row.value());
+    std::visit([&](auto &cells) { clear(cells, row); }, _cells);
+}
+
+template <class Cell>
+void
+FaultModel::clear(std::vector<Cell> &cells, Row row)
+{
     if (_dense) {
-        _cells[row.value()] = Cell{};
+        cells[row.value()] = Cell{};
         return;
     }
-    std::size_t hole = slotOf(row);
-    if (_cells[hole].key == 0)
+    std::size_t hole = slotOf(cells, row);
+    if (cells[hole].key == 0)
         return; // undisturbed since its last refresh
-    const std::size_t mask = _cells.size() - 1;
+    const std::size_t mask = cells.size() - 1;
     // Backward-shift deletion: pull later members of the probe run
     // into the hole unless their home lies cyclically in (hole, j].
-    for (std::size_t j = (hole + 1) & mask; _cells[j].key != 0;
+    for (std::size_t j = (hole + 1) & mask; cells[j].key != 0;
          j = (j + 1) & mask) {
-        const std::size_t home = homeSlot(Row{_cells[j].key - 1});
+        const std::size_t home = homeSlot(cells, Row{cells[j].key - 1});
         const bool stays = hole <= j ? hole < home && home <= j
                                      : hole < home || home <= j;
         if (!stays) {
-            _cells[hole] = _cells[j];
+            cells[hole] = cells[j];
             hole = j;
         }
     }
-    _cells[hole] = Cell{};
+    cells[hole] = Cell{};
     --_live;
 }
 
@@ -209,41 +253,19 @@ FaultModel::disturbance(Row row) const
 {
     if (row.value() >= _numRows)
         return 0.0;
-    // An absent row's probe ends on an empty slot, which holds 0.0.
-    return _cells[_dense ? row.value() : slotOf(row)].disturbance;
+    // An absent row's probe ends on an empty slot, which holds 0.
+    return std::visit(
+        [&](const auto &cells) {
+            return cells[_dense ? row.value() : slotOf(cells, row)]
+                .charge();
+        },
+        _cells);
 }
 
 void
 FaultModel::saveState(ckpt::Writer &w) const
 {
-    // Only non-default cells, in row order, whichever the storage
-    // mode: the bytes are a function of the charge state alone.
-    const auto charged = [](const Cell &c) {
-        return c.disturbance != 0.0 || c.flipped;
-    };
-    const auto write = [&w](Row row, const Cell &c) {
-        w.u32(row.value());
-        w.f64(c.disturbance);
-        w.boolean(c.flipped);
-    };
-    if (_dense) {
-        w.u64(static_cast<std::uint64_t>(
-            std::count_if(_cells.begin(), _cells.end(), charged)));
-        for (std::size_t i = 0; i < _cells.size(); ++i)
-            if (charged(_cells[i]))
-                write(Row{static_cast<Row::rep>(i)}, _cells[i]);
-    } else {
-        std::vector<const Cell *> live;
-        live.reserve(_live);
-        for (const Cell &c : _cells)
-            if (c.key != 0 && charged(c))
-                live.push_back(&c);
-        std::sort(live.begin(), live.end(),
-                  [](const Cell *a, const Cell *b) { return a->key < b->key; });
-        w.u64(live.size());
-        for (const Cell *c : live)
-            write(Row{c->key - 1}, *c);
-    }
+    std::visit([&](const auto &cells) { saveCells(cells, w); }, _cells);
     w.u64(_flips.size());
     for (const BitFlip &f : _flips) {
         w.u32(f.victimRow.value());
@@ -253,26 +275,50 @@ FaultModel::saveState(ckpt::Writer &w) const
     w.f64(_peak);
 }
 
+template <class Cell>
+void
+FaultModel::saveCells(const std::vector<Cell> &cells,
+                      ckpt::Writer &w) const
+{
+    // Only non-default cells, in row order, whichever the storage
+    // mode and cell type: the bytes are a function of the charge
+    // state alone.
+    const auto charged = [](const Cell &c) {
+        return c.charge() != 0.0 || c.flipped();
+    };
+    const auto write = [&w](Row row, const Cell &c) {
+        w.u32(row.value());
+        w.f64(c.charge());
+        w.boolean(c.flipped());
+    };
+    if (_dense) {
+        w.u64(static_cast<std::uint64_t>(
+            std::count_if(cells.begin(), cells.end(), charged)));
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            if (charged(cells[i]))
+                write(Row{static_cast<Row::rep>(i)}, cells[i]);
+    } else {
+        std::vector<const Cell *> live;
+        live.reserve(_live);
+        for (const Cell &c : cells)
+            if (c.key != 0 && charged(c))
+                live.push_back(&c);
+        std::sort(live.begin(), live.end(),
+                  [](const Cell *a, const Cell *b) { return a->key < b->key; });
+        w.u64(live.size());
+        for (const Cell *c : live)
+            write(Row{c->key - 1}, *c);
+    }
+}
+
 void
 FaultModel::restoreState(ckpt::Reader &r)
 {
     resetCells();
-    const std::uint64_t live = r.u64();
-    if (live > _numRows) {
+    if (!std::visit([&](auto &cells) { return restoreCells(cells, r); },
+                    _cells)) {
         r.fail();
         return;
-    }
-    for (std::uint64_t i = 0; i < live && !r.failed(); ++i) {
-        const Row row{r.u32()};
-        const double disturbance = r.f64();
-        const bool flipped = r.boolean();
-        if (row.value() >= _numRows) {
-            r.fail();
-            return;
-        }
-        Cell &cell = cellFor(row);
-        cell.disturbance = disturbance;
-        cell.flipped = flipped;
     }
     _flips.clear();
     const std::uint64_t flip_count = r.u64();
@@ -282,9 +328,42 @@ FaultModel::restoreState(ckpt::Reader &r)
     }
     for (std::uint64_t i = 0; i < flip_count && !r.failed(); ++i) {
         BitFlip f{Row{r.u32()}, Cycle{r.u64()}, r.f64()};
+        if (f.victimRow.value() >= _numRows) {
+            r.fail();
+            return;
+        }
         _flips.push_back(f);
     }
     _peak = r.f64();
+}
+
+template <class Cell>
+bool
+FaultModel::restoreCells(std::vector<Cell> &cells, ckpt::Reader &r)
+{
+    const std::uint64_t live = r.u64();
+    if (live > _numRows)
+        return false;
+    for (std::uint64_t i = 0; i < live && !r.failed(); ++i) {
+        const Row row{r.u32()};
+        const double charge = r.f64();
+        const bool flipped = r.boolean();
+        if (row.value() >= _numRows)
+            return false;
+        Cell &cell = cellFor(cells, row);
+        if constexpr (std::is_same_v<Cell, CountCell>) {
+            // A count is an exact integer below the flip bit.
+            if (!(charge >= 0.0 && charge < CountCell::kFlipped) ||
+                charge != std::trunc(charge))
+                return false;
+            cell.state = static_cast<std::uint32_t>(charge) |
+                         (flipped ? CountCell::kFlipped : 0);
+        } else {
+            cell.disturbance = charge;
+            cell.latched = flipped;
+        }
+    }
+    return true;
 }
 
 } // namespace dram

@@ -21,6 +21,15 @@
  * live rows); uniform attack streams switch. Both modes hold the same
  * values and write the same checkpoint bytes, so the switch is
  * invisible in every result.
+ *
+ * The cell type follows the weights. When every mu is exactly 1.0 (the
+ * system sim's {1.0}, the ACT engine's radius 1) a row's disturbance
+ * is its ACT count, which a sum of 1.0s holds exactly, so a cell is a
+ * 32-bit count with the flip latch in bit 31 and takes 8 bytes. Any
+ * other weights keep a double per row in a 16-byte cell. Storage and
+ * checkpoint code is written once over the cell type, and checkpoints
+ * store a count as the double it equals, so the bytes do not depend
+ * on the cell type either.
  */
 
 #ifndef DRAM_FAULT_MODEL_HH
@@ -28,6 +37,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
@@ -139,35 +149,75 @@ class FaultModel
 
   private:
     /**
-     * One row's charge state. Sparse slots and dense cells share this
-     * 16-byte layout, so "a quarter of the dense footprint" is a
-     * quarter of the row count in slots. In the sparse table key is
-     * row + 1 and 0 marks an empty slot; dense cells leave it 0.
+     * One row's charge state under unit weights: its ACT count since
+     * the last refresh, with the flip latch in bit 31. In the sparse
+     * table key is row + 1 and 0 marks an empty slot; dense cells
+     * leave it 0. Sparse slots and dense cells share this layout, so
+     * "a quarter of the dense footprint" is a quarter of the row
+     * count in slots, whichever the cell type.
      */
-    struct Cell
+    struct CountCell
+    {
+        static constexpr std::uint32_t kFlipped = 1u << 31;
+        std::uint32_t key = 0;
+        std::uint32_t state = 0;
+
+        double charge() const { return state & ~kFlipped; }
+        bool flipped() const { return (state & kFlipped) != 0; }
+        void latch() { state |= kFlipped; }
+    };
+
+    /** One row's charge state under any other weights (16 bytes). */
+    struct ChargeCell
     {
         double disturbance = 0.0;
         std::uint32_t key = 0;
-        bool flipped = false;
+        bool latched = false;
+
+        double charge() const { return disturbance; }
+        bool flipped() const { return latched; }
+        void latch() { latched = true; }
     };
 
     /// Smallest sparse table; banks too small for it start dense.
     static constexpr std::size_t kMinSlots = 16;
 
-    void deposit(Cycle cycle, Row victim, double amount);
+    template <class Cell>
+    void activate(std::vector<Cell> &cells, Cycle cycle, Row aggressor);
+
+    template <class Cell>
+    void deposit(std::vector<Cell> &cells, Cycle cycle, Row victim,
+                 double amount);
 
     /** The cell of @p row, inserting an empty one if absent. */
-    Cell &cellFor(Row row);
+    template <class Cell>
+    Cell &cellFor(std::vector<Cell> &cells, Row row);
 
     /** First probe slot of @p row in the sparse table. */
-    std::size_t homeSlot(Row row) const;
+    template <class Cell>
+    static std::size_t homeSlot(const std::vector<Cell> &cells, Row row);
 
     /** The sparse slot holding @p row, or the empty slot ending its
      *  probe run (where an insert would put it). */
-    std::size_t slotOf(Row row) const;
+    template <class Cell>
+    static std::size_t slotOf(const std::vector<Cell> &cells, Row row);
 
     /** Double the sparse table, or switch to dense past the cap. */
-    void grow();
+    template <class Cell>
+    void grow(std::vector<Cell> &cells);
+
+    /** Clear @p row's cell (backward-shift deletion when sparse). */
+    template <class Cell>
+    void clear(std::vector<Cell> &cells, Row row);
+
+    template <class Cell>
+    void saveCells(const std::vector<Cell> &cells,
+                   ckpt::Writer &w) const;
+
+    /** Refill @p cells from a saved live list; false on a charge or
+     *  row the model cannot hold. */
+    template <class Cell>
+    bool restoreCells(std::vector<Cell> &cells, ckpt::Reader &r);
 
     /** Empty, sparse storage (dense when the bank is tiny). */
     void resetCells();
@@ -178,7 +228,9 @@ class FaultModel
     /// probing, load <= 1/2). Dense: one cell per row. Checkpoints
     /// carry the row-ordered live list, never the layout; restore
     /// refills the cells through cellFor(), which re-derives the mode.
-    std::vector<Cell> _cells; // analyze: ckpt-exempt(_cells) saved as the live-row list, refilled by cellFor()
+    /// The constructor picks the cell type from mu, once.
+    std::variant<std::vector<CountCell>, std::vector<ChargeCell>>
+        _cells; // analyze: ckpt-exempt(_cells) saved as the live-row list, refilled by cellFor()
     bool _dense = false;      // analyze: ckpt-exempt(_dense) storage layout, re-derived while restoring
     /// Occupied sparse slots (unused once dense).
     std::size_t _live = 0;    // analyze: ckpt-exempt(_live) storage layout, recounted while restoring

@@ -1,8 +1,10 @@
 #include "sim/system.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
-#include <queue>
+#include <vector>
 
 #include "common/cancel.hh"
 #include "common/logging.hh"
@@ -107,31 +109,61 @@ runSystem(const SystemConfig &config,
         static_cast<double>(config.timing.cREFW().value()) *
         config.windows)};
 
-    // Event queue of (next issue cycle, core id); each core keeps up
+    // Event heap of (next issue cycle, core id); each core keeps up
     // to memoryLevelParallelism requests in flight, each modelled as
     // an independent closed loop drawing from the core's generator.
-    using Event = std::pair<Cycle, unsigned>;
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
-        queue;
+    // An event is packed as cycle << core_bits | core, which orders
+    // like the pair, so one compare picks the smaller child without a
+    // branch. Cycles are clamped to the horizon: every event there is
+    // dropped unrun, so their order does not matter. A served
+    // request's successor replaces it at the top and sifts down once;
+    // an event at the horizon is popped. Equal keys are the same
+    // event, so any min-heap pops the same sequence.
+    const int core_bits = std::bit_width(config.numCores - 1);
+    GRAPHENE_CHECK(horizon.value() <= ~std::uint64_t{0} >> core_bits,
+                   "system: span too long for the event heap");
+    const auto event = [&](Cycle cycle, unsigned core) {
+        return std::min(cycle, horizon).value() << core_bits | core;
+    };
+    std::vector<std::uint64_t> heap;
     const unsigned mlp = std::max(1u, config.memoryLevelParallelism);
-    for (unsigned i = 0; i < config.numCores; ++i)
-        for (unsigned slot = 0; slot < mlp; ++slot)
-            queue.emplace(slot, i);
+    // Pushed in ascending order, which is already a min-heap.
+    for (unsigned slot = 0; slot < mlp; ++slot)
+        for (unsigned i = 0; i < config.numCores; ++i)
+            heap.push_back(event(Cycle{slot}, i));
+    const auto replaceTop = [&heap](std::uint64_t e) {
+        const std::size_t n = heap.size();
+        std::size_t hole = 0;
+        for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+            if (child + 1 < n)
+                child += heap[child + 1] < heap[child];
+            if (e <= heap[child])
+                break;
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = e;
+    };
 
     SystemResult result;
     result.coreRequests.assign(config.numCores, 0);
 
     std::uint32_t tick = 0;
-    while (!queue.empty()) {
+    while (!heap.empty()) {
         if ((++tick & 0x1fffu) == 0 && cancel && cancel->cancelled()) {
             result.cancelled = true;
             return result;
         }
-        const auto [issue, core] = queue.top();
-        queue.pop();
-        if (issue >= horizon)
+        const Cycle issue{heap.front() >> core_bits};
+        const auto core = static_cast<unsigned>(
+            heap.front() & ((std::uint64_t{1} << core_bits) - 1));
+        if (issue >= horizon) {
+            const std::uint64_t last = heap.back();
+            heap.pop_back();
+            if (!heap.empty())
+                replaceTop(last);
             continue;
+        }
 
         const workloads::CoreAccess access = cores[core].next();
         const dram::DecodedAddr d = mapper.decode(access.addr);
@@ -140,7 +172,7 @@ runSystem(const SystemConfig &config,
             channel.access(issue, d.bank, d.row, access.isWrite);
 
         ++result.coreRequests[core];
-        queue.emplace(served.completion + access.gap, core);
+        replaceTop(event(served.completion + access.gap, core));
     }
 
     std::uint64_t victim_rows = 0;

@@ -5,9 +5,10 @@
  *
  * Both models run the same seeded random sequence of ACTs, REF
  * stripes, NRRs, victim-row refreshes and checkpoint round trips,
- * with blast radius 1 and 3 and remapping off and on. Every few steps
+ * with blast radius 1, 2 and 3 and remapping off and on. Every few steps
  * they must agree on every row's disturbance, the flip log and the
- * peak; every checkpoint must be byte-identical. Each sequence starts
+ * peak; every checkpoint must be byte-identical. Unit weights run the
+ * model's count cells, every other weight vector its charge cells. Each sequence starts
  * on a narrow row window (the bank stays sparse) and widens to the
  * whole bank (it switches to dense), and restores land both in the
  * running model and in a freshly constructed one.
@@ -189,7 +190,11 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{"r3_remap", {1.0, 0.25, 1.0 / 9.0}, true},
                       // A zero weight deposits nothing; such rows
                       // must not appear in either checkpoint.
-                      DiffCase{"r3_zero_weight", {1.0, 0.0, 0.5}, false}),
+                      DiffCase{"r3_zero_weight", {1.0, 0.0, 0.5}, false},
+                      // Either side of the unit-weight rule: r1 runs
+                      // count cells, these run charge cells.
+                      DiffCase{"r2", {1.0, 0.25}, false},
+                      DiffCase{"r1_half", {0.5}, false}),
     [](const ::testing::TestParamInfo<DiffCase> &info) {
         return info.param.name;
     });

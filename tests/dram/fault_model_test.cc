@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "ckpt/io.hh"
 #include "dram/fault_model.hh"
 
 namespace graphene {
@@ -175,6 +180,76 @@ TEST(FaultModel, OneFlipRecordedPerExcursion)
     for (std::uint64_t i = 0; i < 10; ++i)
         f.onActivate(Cycle{100 + i}, Row{500});
     EXPECT_EQ(f.flips().size(), 3u);
+}
+
+/**
+ * Checkpoint bytes of one bank: @p cells as (row, charge) live rows,
+ * none flipped, then a flip log of @p flip_rows and a zero peak.
+ */
+std::vector<std::uint8_t>
+bankBytes(const std::vector<std::pair<std::uint32_t, double>> &cells,
+          const std::vector<std::uint32_t> &flip_rows = {})
+{
+    ckpt::Writer w;
+    w.u64(cells.size());
+    for (const auto &[row, charge] : cells) {
+        w.u32(row);
+        w.f64(charge);
+        w.boolean(false);
+    }
+    w.u64(flip_rows.size());
+    for (std::uint32_t row : flip_rows) {
+        w.u32(row);
+        w.u64(7);
+        w.f64(100.0);
+    }
+    w.f64(0.0);
+    return w.data();
+}
+
+bool
+restores(const FaultConfig &config, const std::vector<std::uint8_t> &bytes)
+{
+    FaultModel f(config, 1000);
+    ckpt::Reader r(bytes);
+    f.restoreState(r);
+    return !r.failed();
+}
+
+TEST(FaultModel, UnitRestoreRejectsChargesACountCannotHold)
+{
+    // Unit weights hold a row's charge as a 31-bit ACT count.
+    const FaultConfig unit = smallConfig();
+    EXPECT_TRUE(restores(unit, bankBytes({{5, 0.0}, {6, 2147483647.0}})));
+    for (double bad : {2.5, -1.0, 2147483648.0, 1e300,
+                       std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()})
+        EXPECT_FALSE(restores(unit, bankBytes({{5, bad}})))
+            << "charge " << bad;
+    // Any other weights keep a double: a fractional charge is legal.
+    EXPECT_TRUE(restores(smallConfig(100.0, 2), bankBytes({{5, 2.5}})));
+}
+
+TEST(FaultModel, RestoreRejectsFlipRowsOutOfRange)
+{
+    for (unsigned radius : {1u, 2u}) {
+        const FaultConfig c = smallConfig(100.0, radius);
+        EXPECT_TRUE(restores(c, bankBytes({}, {999})))
+            << "radius " << radius;
+        EXPECT_FALSE(restores(c, bankBytes({}, {1000})))
+            << "radius " << radius;
+    }
+}
+
+TEST(FaultModelDeathTest, CountOverflowTripsCheck)
+{
+    FaultModel f(smallConfig(), 1000);
+    const auto bytes = bankBytes({{500, 2147483647.0}});
+    ckpt::Reader r(bytes);
+    f.restoreState(r);
+    ASSERT_FALSE(r.failed());
+    EXPECT_EQ(f.disturbance(Row{500}), 2147483647.0);
+    EXPECT_DEATH(f.onActivate(Cycle{0}, Row{501}), "overflows");
 }
 
 } // namespace

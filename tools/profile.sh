@@ -10,6 +10,10 @@
 # one line per layer with its share of self time and its heaviest
 # functions. Any change can regenerate the table before and after.
 #
+# The preset adds -fno-ipa-sra: gprof skips the `.isra` clones that
+# IPA-SRA makes and bills their samples to whatever symbol precedes
+# them, which hid the fault oracle's probe under an unrelated name.
+#
 # Usage: tools/profile.sh (takes no arguments; for other fig8 flags
 # run the instrumented binary and gprof by hand).
 #
@@ -44,7 +48,7 @@ LAYERS = [
     ("Fault oracle", r"FaultModel"),
     ("Address decode", r"AddressMapper"),
     ("Event loop, controller, bank timing",
-     r"runSystem|ChannelController|QueuedController|dram::Bank::|dram::Rank::|TimingParams|priority_queue|__adjust_heap|__push_heap|__pop_heap"),
+     r"runSystem|ChannelController|QueuedController|dram::Bank::|dram::Rank::|TimingParams"),
     ("Schemes + trackers",
      r"graphene::core::|graphene::schemes::|CounterTable|Tracker|RefreshAction|"
      r"_Hashtable<graphene::StrongId<graphene::tags::Row"),
@@ -69,10 +73,11 @@ for secs, fn in rows:
 
 
 def short(fn):
-    """Drop arguments, template arguments and namespaces."""
+    """Drop arguments, template arguments, return type and namespaces."""
     fn = re.sub(r"\(.*$", "", fn)
     while re.search(r"<[^<>]*>", fn):
         fn = re.sub(r"<[^<>]*>", "", fn)
+    fn = fn.split(" ")[-1]
     return re.sub(r"^graphene::([a-z]\w*::)?", "", fn)
 
 
