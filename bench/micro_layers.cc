@@ -5,7 +5,8 @@
  * synthetic address generation (one core, and a 16-core cell drawn
  * round-robin), address decode, rank set-up and the
  * fault oracle's onActivate in its sparse and its dense mode, and
- * across a cell's 64 fresh banks.
+ * across a cell's 64 fresh banks, with and without replaying their
+ * logs.
  */
 
 #include <benchmark/benchmark.h>
@@ -108,9 +109,10 @@ BM_RankSetup(benchmark::State &state)
 BENCHMARK(BM_RankSetup);
 
 /**
- * onActivate on a 64Ki-row bank. Arg 0 draws aggressors from a
- * 2048-row working set, so the bank stays sparse; arg 1 draws them
- * uniformly, so it switches to dense during warm-up. Every 8192 ACTs
+ * onActivate on a 64Ki-row bank. The bank leaves its log during the
+ * warm-up. Arg 0 draws aggressors from a 2048-row working set, so the
+ * bank stays sparse; arg 1 draws them uniformly, so it switches to
+ * dense during warm-up. Every 8192 ACTs
  * a REF stripe of eight rows is refreshed, as the rank does.
  */
 void
@@ -146,14 +148,16 @@ BENCHMARK(BM_FaultActivate)->Arg(0)->Arg(1);
  * The fault oracle as a sys-normal cell sees it: 64 fresh 64Ki-row
  * banks, each fed ~3.7k ACTs drawn from 2048 rows of its own scattered
  * over the bank, the banks interleaved at random, with an eight-row
- * REF stripe every 23 ACTs of a bank. About half of the deposits
- * insert a new row and each table grows from 16 to 8Ki slots (~3.3k
- * live rows), so unlike BM_FaultActivate's one warm bank this case
- * sees the cell's footprint and its growth. Every 64 x 3700 ACTs the
- * banks are built afresh, and that counts in the time per ACT.
+ * REF stripe every 23 ACTs of a bank. Every 64 x 3700 ACTs the banks
+ * are built afresh, and that counts in the time per ACT. The ~5k log
+ * entries of a bank stay below its 8Ki capacity and its ~3.7k ACTs
+ * below the 50K threshold, so BM_FaultCell times appends to the log.
+ * BM_FaultCellReplay ends each cell with peakDisturbance() on every
+ * bank, which replays each log into a sparse table of ~3.3k live rows
+ * grown from 16 to 8Ki slots: the cell's whole table work.
  */
 void
-BM_FaultCell(benchmark::State &state)
+faultCell(benchmark::State &state, bool replay)
 {
     constexpr unsigned kBanks = 64;
     constexpr std::uint64_t kRows = 65536;
@@ -169,6 +173,12 @@ BM_FaultCell(benchmark::State &state)
     std::uint64_t left = 0;
     for (auto _ : state) {
         if (left == 0) {
+            for (const dram::FaultModel &bank : banks) {
+                GRAPHENE_CHECK(bank.logging(),
+                               "fault bench: a bank left its log");
+                if (replay)
+                    benchmark::DoNotOptimize(bank.peakDisturbance());
+            }
             banks.assign(kBanks, dram::FaultModel(dram::FaultConfig{}, kRows));
             acts.assign(kBanks, 0);
             stripes.assign(kBanks, Row{});
@@ -183,6 +193,19 @@ BM_FaultCell(benchmark::State &state)
         }
     }
 }
+
+void
+BM_FaultCell(benchmark::State &state)
+{
+    faultCell(state, false);
+}
 BENCHMARK(BM_FaultCell);
+
+void
+BM_FaultCellReplay(benchmark::State &state)
+{
+    faultCell(state, true);
+}
+BENCHMARK(BM_FaultCellReplay);
 
 } // namespace

@@ -139,8 +139,8 @@ Addr
 AddressMapper::encode(const DecodedAddr &d) const
 {
     const Geometry &g = _geometry;
-    const std::uint64_t linesPerRow = g.bytesPerRow / _lineBytes;
-    const std::uint64_t lineInRow = d.column / _lineBytes;
+    const std::uint64_t linesPerRow = _div.linesPerRow.value();
+    const std::uint64_t lineInRow = _div.line.quot(d.column);
     std::uint64_t line = 0;
 
     switch (_policy) {
@@ -166,7 +166,7 @@ AddressMapper::encode(const DecodedAddr &d) const
         line = line * linesPerRow + lineInRow;
         break;
     }
-    return Addr{line * _lineBytes + d.column % _lineBytes};
+    return Addr{line * _lineBytes + _div.line.rem(d.column)};
 }
 
 } // namespace dram

@@ -27,6 +27,10 @@ FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
                     [](double m) { return m != 1.0; }))
         _cells.emplace<std::vector<ChargeCell>>();
     resetCells();
+    // The bound "no count exceeds the bank's ACT count" needs unit
+    // weights, and the refresh tag needs rows below bit 31.
+    _logging = !_dense && _numRows < kRefreshTag &&
+               std::holds_alternative<std::vector<CountCell>>(_cells);
 
     if (_config.remap) {
         // Fisher-Yates shuffle for the logical -> physical map.
@@ -48,6 +52,16 @@ FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
 void
 FaultModel::onActivate(Cycle cycle, Row aggressor)
 {
+    if (_logging) {
+        // No count can reach the threshold before the bank's ACT
+        // count does.
+        if (static_cast<double>(_logActs + 1) < _config.rowHammerThreshold &&
+            append(aggressor.value())) {
+            ++_logActs;
+            return;
+        }
+        replay();
+    }
     std::visit([&](auto &cells) { activate(cells, cycle, aggressor); },
                _cells);
 }
@@ -76,6 +90,53 @@ FaultModel::activate(std::vector<Cell> &cells, Cycle cycle, Row aggressor)
                     amount);
         }
     }
+}
+
+bool
+FaultModel::append(std::uint32_t entry)
+{
+    if (_log.size() == _numRows / 8)
+        return false;
+    _log.push_back(entry);
+    return true;
+}
+
+void
+FaultModel::replay()
+{
+    _logging = false;
+    if (_log.empty())
+        return; // a fresh bank: its table is already the empty one
+    const std::vector<std::uint32_t> log = std::exchange(_log, {});
+    auto &cells = std::get<std::vector<CountCell>>(_cells);
+    // Size the empty table once for the log's victims (2 * radius per
+    // distinct aggressor) as far as the sparse cap allows: a doubling
+    // chain grown in one burst is memory a worker's heap keeps. Only
+    // the footprint depends on it; the switch to dense still comes at
+    // the same live-row count.
+    std::vector<bool> seen(_numRows);
+    std::size_t victims = 0;
+    for (const std::uint32_t entry : log) {
+        // Refresh entries carry the tag, so they fail the range test.
+        if (entry < _numRows && !seen[entry]) {
+            seen[entry] = true;
+            victims += 2 * _config.mu.size();
+        }
+    }
+    std::size_t slots = cells.size();
+    while (slots < 2 * victims && 2 * slots <= _numRows / 4)
+        slots *= 2;
+    cells = std::vector<CountCell>(slots);
+    // Through the public entry points, now past the log, so that the
+    // table code keeps one call site each (and stays inlined there).
+    for (const std::uint32_t entry : log) {
+        if (entry & kRefreshTag)
+            onRowRefresh(Row{entry & ~kRefreshTag});
+        else
+            onActivate(Cycle{}, Row{entry});
+    }
+    GRAPHENE_CHECK(_flips.empty(),
+                   "fault model: a flip landed inside the ACT log");
 }
 
 std::vector<Row>
@@ -217,6 +278,11 @@ FaultModel::onRowRefresh(Row row)
 {
     GRAPHENE_CHECK(row.value() < _numRows,
                    "refresh of out-of-range row %u", row.value());
+    if (_logging) {
+        if (append(row.value() | kRefreshTag))
+            return;
+        replay();
+    }
     std::visit([&](auto &cells) { clear(cells, row); }, _cells);
 }
 
@@ -253,6 +319,7 @@ FaultModel::disturbance(Row row) const
 {
     if (row.value() >= _numRows)
         return 0.0;
+    settle();
     // An absent row's probe ends on an empty slot, which holds 0.
     return std::visit(
         [&](const auto &cells) {
@@ -265,6 +332,7 @@ FaultModel::disturbance(Row row) const
 void
 FaultModel::saveState(ckpt::Writer &w) const
 {
+    settle();
     std::visit([&](const auto &cells) { saveCells(cells, w); }, _cells);
     w.u64(_flips.size());
     for (const BitFlip &f : _flips) {
@@ -314,6 +382,8 @@ FaultModel::saveCells(const std::vector<Cell> &cells,
 void
 FaultModel::restoreState(ckpt::Reader &r)
 {
+    _logging = false;
+    _log = {};
     resetCells();
     if (!std::visit([&](auto &cells) { return restoreCells(cells, r); },
                     _cells)) {

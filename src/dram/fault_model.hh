@@ -10,17 +10,34 @@
  * Hammer threshold suffers a recorded bit flip. A protection scheme is
  * sound iff no flips are recorded under any access pattern.
  *
- * Storage is sparse, then dense. A bank starts with an open-addressed
- * table holding only the rows disturbed since their last refresh, and
- * building 64 dense banks per system-sim cell used to cost more than
- * simulating them. The table doubles while it stays within a quarter
- * of the dense array's bytes; the insert that would take it past that
- * (more than 8Ki live rows in a 64Ki-row bank) switches the bank, once
- * and for good, to one cell per row. In Fig. 8's normal grid at spans
- * of 0.02, 0.25 and 1 tREFW every bank stayed sparse (at most ~8.1k
- * live rows); uniform attack streams switch. Both modes hold the same
- * values and write the same checkpoint bytes, so the switch is
- * invisible in every result.
+ * Storage is log, then sparse, then dense. Under unit weights no
+ * row's count can exceed the number of ACTs its bank has received, so
+ * while that number is below the threshold no row can flip. A fresh
+ * unit-weight bank therefore only appends to a log of 4-byte entries:
+ * an ACT's aggressor row, or a refreshed row tagged with bit 31. The
+ * log replays once, through onActivate() and onRowRefresh() as live
+ * ACTs and refreshes run, into the table below, and the bank stays in the table for
+ * good. It replays on the ACT that could reach the threshold (then
+ * applied to the table), when the log holds numRows / 8 entries (a
+ * sixteenth of the dense array's bytes), or on the first query that
+ * needs charges (disturbance(), peakDisturbance(), dense(),
+ * saveState()). flips() needs none: it is empty throughout the log.
+ * Replay sizes the table once for the log's victims instead of
+ * doubling it in one burst. A sys-normal cell's bank (0.01 tREFW)
+ * logs a median of ~2.3k entries (at most ~5.3k) and ~1.6k ACTs
+ * against 50K, so it never builds a table; at 0.02 tREFW 3 of Fig.
+ * 8's 5,120 system-sim banks reach the capacity. Other weights, and
+ * tiny banks, start in the table.
+ *
+ * The table is an open-addressed hash of only the rows disturbed since
+ * their last refresh; building 64 dense banks per system-sim cell used
+ * to cost more than simulating them. It doubles while it stays within
+ * a quarter of the dense array's bytes; the insert that would take it
+ * past that (more than 8Ki live rows in a 64Ki-row bank) switches the
+ * bank, once and for good, to one cell per row; uniform attack
+ * streams switch. All three modes hold the same values and write the
+ * same checkpoint bytes, so the switches are invisible in every
+ * result.
  *
  * The cell type follows the weights. When every mu is exactly 1.0 (the
  * system sim's {1.0}, the ACT engine's radius 1) a row's disturbance
@@ -126,7 +143,11 @@ class FaultModel
      * its refreshes — the empirical counterpart of the Section III-C
      * bound 2(k+1)(T-1).
      */
-    double peakDisturbance() const { return _peak; }
+    double peakDisturbance() const
+    {
+        settle();
+        return _peak;
+    }
 
     std::uint64_t numRows() const { return _numRows; }
     unsigned blastRadius() const
@@ -134,8 +155,15 @@ class FaultModel
         return static_cast<unsigned>(_config.mu.size());
     }
 
+    /** True while the bank is a log, with no charge table built. */
+    bool logging() const { return _logging; }
+
     /** True once the bank has switched to one cell per row. */
-    bool dense() const { return _dense; }
+    bool dense() const
+    {
+        settle();
+        return _dense;
+    }
 
     /**
      * Serialize the charge state sparsely: only rows with non-default
@@ -182,6 +210,25 @@ class FaultModel
     /// Smallest sparse table; banks too small for it start dense.
     static constexpr std::size_t kMinSlots = 16;
 
+    /// Tag of a refreshed row in the log; untagged entries are ACTs.
+    static constexpr std::uint32_t kRefreshTag = 1u << 31;
+
+    /** Append @p entry to the log; false (and the bank replays) when
+     *  the log is full. */
+    bool append(std::uint32_t entry);
+
+    /** Leave the log: replay it into the table, for good. */
+    void replay();
+
+    /** Replay the log before a query that reads charges. Replay
+     *  changes how the state is held, not its value, and writes only
+     *  mutable members (no flip lands inside the log). */
+    void settle() const
+    {
+        if (_logging)
+            const_cast<FaultModel *>(this)->replay();
+    }
+
     template <class Cell>
     void activate(std::vector<Cell> &cells, Cycle cycle, Row aggressor);
 
@@ -224,18 +271,24 @@ class FaultModel
 
     FaultConfig _config;    // analyze: ckpt-exempt(_config) config, rebuilt by the constructor
     std::uint64_t _numRows; // analyze: ckpt-exempt(_numRows) config, rebuilt by the constructor
+    /// Log mode: every entry since construction, in order (see the
+    /// file comment). Unit weights only, and only while _logging.
+    mutable std::vector<std::uint32_t> _log; // analyze: ckpt-exempt(_log) replayed into _cells before any save
+    /// ACT entries in _log: an upper bound on every row's count.
+    std::uint64_t _logActs = 0; // analyze: ckpt-exempt(_logActs) log bookkeeping, unused once replayed
+    mutable bool _logging = false; // analyze: ckpt-exempt(_logging) storage layout, a restore lands in the table
     /// Sparse: open-addressed table (power-of-two size, linear
     /// probing, load <= 1/2). Dense: one cell per row. Checkpoints
     /// carry the row-ordered live list, never the layout; restore
     /// refills the cells through cellFor(), which re-derives the mode.
     /// The constructor picks the cell type from mu, once.
-    std::variant<std::vector<CountCell>, std::vector<ChargeCell>>
+    mutable std::variant<std::vector<CountCell>, std::vector<ChargeCell>>
         _cells; // analyze: ckpt-exempt(_cells) saved as the live-row list, refilled by cellFor()
-    bool _dense = false;      // analyze: ckpt-exempt(_dense) storage layout, re-derived while restoring
+    mutable bool _dense = false; // analyze: ckpt-exempt(_dense) storage layout, re-derived while restoring
     /// Occupied sparse slots (unused once dense).
-    std::size_t _live = 0;    // analyze: ckpt-exempt(_live) storage layout, recounted while restoring
+    mutable std::size_t _live = 0; // analyze: ckpt-exempt(_live) storage layout, recounted while restoring
     std::vector<BitFlip> _flips;
-    double _peak = 0.0;
+    mutable double _peak = 0.0;
     /// Logical -> physical and inverse permutations (remap only):
     /// a pure function of the seeded config, so the constructor
     /// rebuilds them bit-identically.

@@ -12,6 +12,12 @@
  * on a narrow row window (the bank stays sparse) and widens to the
  * whole bank (it switches to dense), and restores land both in the
  * running model and in a freshly constructed one.
+ *
+ * The FaultModelLog cases pin a unit-weight bank's log: while it holds
+ * every entry, at the ACT that could first reach the threshold, at its
+ * capacity, across a save taken mid-log, and under remapping. They
+ * query charges only at the end (a query replays the log), and compare
+ * flips(), which never replays, after every entry.
  */
 
 #include <gtest/gtest.h>
@@ -279,6 +285,255 @@ TEST(FaultModelStorage, RestoreOfAFewRowsReturnsToSparse)
     ckpt::Writer again;
     big.saveState(again);
     EXPECT_EQ(again.data(), w.data());
+}
+
+/** The model and the dense reference driven in step. */
+struct Lockstep
+{
+    Lockstep(const FaultConfig &fc, std::uint64_t rows)
+        : rows(rows), sut(std::make_unique<FaultModel>(fc, rows)),
+          ref(fc, rows)
+    {
+    }
+
+    void act(Row aggressor)
+    {
+        sut->onActivate(Cycle{cycle}, aggressor);
+        ref.onActivate(Cycle{cycle}, aggressor);
+        ++cycle;
+    }
+
+    void refresh(Row row)
+    {
+        sut->onRowRefresh(row);
+        ref.onRowRefresh(row);
+    }
+
+    /**
+     * @p entries log entries: ACTs (mostly around two hot rows near
+     * row 1000), single-row refreshes and a rotating REF stripe, with
+     * the flip logs compared after each one.
+     */
+    void drive(Rng &rng, std::uint64_t entries)
+    {
+        for (std::uint64_t i = 0; i < entries; ++i) {
+            const std::uint64_t op = rng.nextRange(10);
+            if (op < 3)
+                act(Row{static_cast<Row::rep>(1040 + 2 * rng.nextRange(2))});
+            else if (op < 8)
+                act(Row{static_cast<Row::rep>(1000 + rng.nextRange(96))});
+            else if (op == 8)
+                refresh(Row{static_cast<Row::rep>(1000 + rng.nextRange(96))});
+            else
+                refresh(Row{static_cast<Row::rep>(stripe++ % rows)});
+            ASSERT_EQ(sut->flips().size(), ref.flips().size())
+                << "entry " << i;
+        }
+    }
+
+    std::uint64_t rows;
+    std::unique_ptr<FaultModel> sut;
+    reference::DenseFaultModel ref;
+    std::uint64_t cycle = 0;
+    std::uint64_t stripe = 0;
+};
+
+template <class Model>
+std::vector<std::uint8_t>
+bytesOf(const Model &m)
+{
+    ckpt::Writer w;
+    m.saveState(w);
+    return w.data();
+}
+
+/** Every row's charge, the flips, the peak and the checkpoint bytes. */
+void
+expectAgree(const Lockstep &s)
+{
+    for (Row r{}; r.value() < s.rows; ++r)
+        ASSERT_EQ(s.sut->disturbance(r), s.ref.disturbance(r))
+            << "row " << r;
+    const auto &got = s.sut->flips();
+    const auto &want = s.ref.flips();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].victimRow, want[i].victimRow) << "flip " << i;
+        EXPECT_EQ(got[i].cycle, want[i].cycle) << "flip " << i;
+        EXPECT_EQ(got[i].disturbance, want[i].disturbance) << "flip " << i;
+    }
+    EXPECT_EQ(s.sut->peakDisturbance(), s.ref.peakDisturbance());
+    EXPECT_EQ(bytesOf(*s.sut), bytesOf(s.ref));
+}
+
+FaultConfig
+unitConfig(double threshold, bool remap = false,
+           std::vector<double> mu = {1.0})
+{
+    FaultConfig fc;
+    fc.rowHammerThreshold = threshold;
+    fc.mu = std::move(mu);
+    fc.remap = remap;
+    return fc;
+}
+
+/// A 4096-row bank logs at most 4096 / 8 entries.
+constexpr std::uint64_t kLogRows = 4096;
+constexpr std::uint64_t kLogCapacity = kLogRows / 8;
+
+void
+staysLogged(const FaultConfig &fc)
+{
+    Lockstep s(fc, kLogRows);
+    Rng rng(7);
+    s.drive(rng, kLogCapacity - 12);
+    ASSERT_TRUE(s.sut->logging());
+    EXPECT_GT(s.ref.peakDisturbance(), 1.0);
+    // A save straight from the log, on a copy that is still logging.
+    const FaultModel copy = *s.sut;
+    ASSERT_TRUE(copy.logging());
+    EXPECT_EQ(bytesOf(copy), bytesOf(s.ref));
+    EXPECT_FALSE(copy.logging());
+    expectAgree(s);
+}
+
+TEST(FaultModelLog, StaysLoggedThroughASequence)
+{
+    staysLogged(unitConfig(1000.0));
+}
+
+TEST(FaultModelLog, StaysLoggedWithRemap)
+{
+    staysLogged(unitConfig(1000.0, true));
+}
+
+TEST(FaultModelLog, StaysLoggedAtUnitRadiusTwo)
+{
+    staysLogged(unitConfig(1000.0, false, {1.0, 1.0}));
+}
+
+void
+flipEndsTheLog(const FaultConfig &fc)
+{
+    // 64 ACTs of one aggressor, interleaved with refreshes of rows
+    // far away: its neighbours reach T = 64 on the 64th ACT, which is
+    // the first ACT that could reach it.
+    Lockstep s(fc, kLogRows);
+    for (std::uint32_t i = 0; i < 63; ++i) {
+        s.refresh(Row{3000 + i});
+        s.act(Row{100});
+    }
+    ASSERT_TRUE(s.sut->logging());
+    ASSERT_TRUE(s.sut->flips().empty());
+    s.act(Row{100});
+    EXPECT_FALSE(s.sut->logging());
+    ASSERT_EQ(s.ref.flips().size(), 2 * fc.mu.size());
+    EXPECT_EQ(s.sut->flips().size(), s.ref.flips().size());
+    EXPECT_EQ(s.ref.flips()[0].cycle, Cycle{63});
+    expectAgree(s);
+}
+
+TEST(FaultModelLog, FirstFlipLandsOnTheActThatEndsTheLog)
+{
+    flipEndsTheLog(unitConfig(64.0));
+}
+
+TEST(FaultModelLog, FirstFlipEndsTheLogWithRemap)
+{
+    flipEndsTheLog(unitConfig(64.0, true));
+}
+
+TEST(FaultModelLog, ReplaysAtCapacity)
+{
+    // The entry past the capacity replays first, whether it is an ACT
+    // or a refresh.
+    for (const bool act : {true, false}) {
+        Lockstep s(unitConfig(1e6), kLogRows);
+        Rng rng(11);
+        s.drive(rng, kLogCapacity);
+        ASSERT_TRUE(s.sut->logging()) << "act " << act;
+        if (act)
+            s.act(Row{1041});
+        else
+            s.refresh(Row{1041});
+        EXPECT_FALSE(s.sut->logging()) << "act " << act;
+        expectAgree(s);
+    }
+}
+
+TEST(FaultModelLog, SaveMidLogRestoresIntoAFreshModelAndContinues)
+{
+    const FaultConfig fc = unitConfig(300.0);
+    Lockstep s(fc, kLogRows);
+    Rng rng(13);
+    s.drive(rng, 200);
+    ASSERT_TRUE(s.sut->logging());
+    const auto bytes = bytesOf(*s.sut);
+    ASSERT_EQ(bytes, bytesOf(s.ref));
+    s.sut = std::make_unique<FaultModel>(fc, kLogRows);
+    ckpt::Reader r(bytes);
+    s.sut->restoreState(r);
+    ASSERT_FALSE(r.failed());
+    EXPECT_FALSE(s.sut->logging()) << "a restore lands in the table";
+    s.drive(rng, 4000);
+    EXPECT_FALSE(s.ref.flips().empty());
+    expectAgree(s);
+}
+
+TEST(FaultModelLog, RandomSequencesMatchReference)
+{
+    // Low thresholds replay on the ACT bound, high ones at capacity;
+    // flips follow the replay in both.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        for (const bool remap : {false, true}) {
+            const double threshold = seed % 3 == 0 ? 1e6 : 40.0 * seed;
+            Lockstep s(unitConfig(threshold, remap), kLogRows);
+            Rng rng(seed);
+            s.drive(rng, 3000);
+            expectAgree(s);
+            if (HasFailure())
+                FAIL() << "seed " << seed << " remap " << remap;
+        }
+    }
+}
+
+TEST(FaultModelLog, ReplaySwitchesToDenseAtTheSameLiveCount)
+{
+    // As SparseUntilAQuarterOfTheDenseFootprint, but the 8192 live
+    // rows come out of a replayed log: the table sized for the log's
+    // victims stays sparse until the same insert switches it.
+    FaultModel f(unitConfig(50000.0), 65536);
+    for (std::uint32_t i = 0; i < 4096; ++i)
+        f.onActivate(Cycle{i}, Row{4 * i + 1});
+    ASSERT_TRUE(f.logging());
+    EXPECT_FALSE(f.dense()) << "8192 live rows";
+    EXPECT_FALSE(f.logging());
+    f.onActivate(Cycle{5000}, Row{4 * 4096 + 1});
+    EXPECT_TRUE(f.dense()) << "8194 live rows";
+    EXPECT_EQ(f.disturbance(Row{0}), 1.0);
+    EXPECT_EQ(f.disturbance(Row{4 * 4096 + 2}), 1.0);
+}
+
+TEST(FaultModelLog, ChargeCellsAndTinyBanksNeverLog)
+{
+    EXPECT_TRUE(FaultModel(unitConfig(50000.0), kLogRows).logging());
+    EXPECT_TRUE(
+        FaultModel(unitConfig(50000.0, false, {1.0, 1.0}), kLogRows)
+            .logging());
+    for (const auto &mu : std::vector<std::vector<double>>{
+             {0.5}, {1.0, 0.25}, {1.0, 0.25, 1.0 / 9.0}}) {
+        Lockstep s(unitConfig(40.0, false, mu), kLogRows);
+        EXPECT_FALSE(s.sut->logging()) << "radius " << mu.size();
+        Rng rng(mu.size());
+        s.drive(rng, 500);
+        expectAgree(s);
+    }
+    Lockstep tiny(unitConfig(40.0), 32);
+    EXPECT_FALSE(tiny.sut->logging());
+    EXPECT_TRUE(tiny.sut->dense());
+    for (std::uint32_t i = 0; i < 100; ++i)
+        tiny.act(Row{i % 32});
+    expectAgree(tiny);
 }
 
 } // namespace
