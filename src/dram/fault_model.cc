@@ -28,8 +28,8 @@ FaultModel::FaultModel(const FaultConfig &config, std::uint64_t num_rows)
         _cells.emplace<std::vector<ChargeCell>>();
     resetCells();
     // The bound "no count exceeds the bank's ACT count" needs unit
-    // weights, and the refresh tag needs rows below bit 31.
-    _logging = !_dense && _numRows < kRefreshTag &&
+    // weights, and the stripe and refresh tags need rows below bit 30.
+    _logging = !_dense && _numRows <= kStripeTag &&
                std::holds_alternative<std::vector<CountCell>>(_cells);
 
     if (_config.remap) {
@@ -132,6 +132,8 @@ FaultModel::replay()
     for (const std::uint32_t entry : log) {
         if (entry & kRefreshTag)
             onRowRefresh(Row{entry & ~kRefreshTag});
+        else if (entry & kStripeTag)
+            onRefreshStripe(Row{entry & ~kStripeTag}, _logStripeRows);
         else
             onActivate(Cycle{}, Row{entry});
     }
@@ -284,6 +286,28 @@ FaultModel::onRowRefresh(Row row)
         replay();
     }
     std::visit([&](auto &cells) { clear(cells, row); }, _cells);
+}
+
+void
+FaultModel::onRefreshStripe(Row first, std::uint64_t rows)
+{
+    GRAPHENE_CHECK(first.value() < _numRows && rows > 0 && rows <= _numRows,
+                   "refresh stripe of %llu rows from row %u out of range",
+                   static_cast<unsigned long long>(rows), first.value());
+    if (_logging) {
+        if (_logStripeRows == 0)
+            _logStripeRows = rows;
+        if (rows == _logStripeRows && append(first.value() | kStripeTag))
+            return;
+        replay();
+    }
+    std::visit(
+        [&](auto &cells) {
+            for (std::uint64_t i = 0; i < rows; ++i)
+                clear(cells, Row{static_cast<Row::rep>(
+                                 (first.value() + i) % _numRows)});
+        },
+        _cells);
 }
 
 template <class Cell>

@@ -14,20 +14,20 @@
  * row's count can exceed the number of ACTs its bank has received, so
  * while that number is below the threshold no row can flip. A fresh
  * unit-weight bank therefore only appends to a log of 4-byte entries:
- * an ACT's aggressor row, or a refreshed row tagged with bit 31. The
- * log replays once, through onActivate() and onRowRefresh() as live
- * ACTs and refreshes run, into the table below, and the bank stays in the table for
- * good. It replays on the ACT that could reach the threshold (then
- * applied to the table), when the log holds numRows / 8 entries (a
- * sixteenth of the dense array's bytes), or on the first query that
- * needs charges (disturbance(), peakDisturbance(), dense(),
- * saveState()). flips() needs none: it is empty throughout the log.
- * Replay sizes the table once for the log's victims instead of
- * doubling it in one burst. A sys-normal cell's bank (0.01 tREFW)
- * logs a median of ~2.3k entries (at most ~5.3k) and ~1.6k ACTs
- * against 50K, so it never builds a table; at 0.02 tREFW 3 of Fig.
- * 8's 5,120 system-sim banks reach the capacity. Other weights, and
- * tiny banks, start in the table.
+ * an ACT's aggressor row, a refreshed row tagged with bit 31, or the
+ * first row of a whole REF stripe tagged with bit 30. The log replays
+ * once, through onActivate(), onRowRefresh() and onRefreshStripe() as
+ * live ACTs and refreshes run, into the table below, and the bank
+ * stays in the table for good. It replays on the ACT that could reach
+ * the threshold (then applied to the table), when the log holds
+ * numRows / 8 entries (a sixteenth of the dense array's bytes), or on
+ * the first query that needs charges (disturbance(),
+ * peakDisturbance(), dense(), saveState()). flips() needs none: it is
+ * empty throughout the log. Replay sizes the table once for the log's
+ * victims instead of doubling it in one burst. A sys-normal cell's
+ * bank (0.01 tREFW) receives ~1.6k ACTs (median) against 50K and 81
+ * REF stripes, so it never builds a table. Other weights, and tiny
+ * banks, start in the table.
  *
  * The table is an open-addressed hash of only the rows disturbed since
  * their last refresh; building 64 dense banks per system-sim cell used
@@ -118,8 +118,12 @@ class FaultModel
     /** Deposit disturbance into the neighbours of @p aggressor. */
     void onActivate(Cycle cycle, Row aggressor);
 
-    /** A refresh (normal, REF stripe, or NRR victim) restores @p row. */
+    /** A refresh (NRR or explicit victim) restores @p row. */
     void onRowRefresh(Row row);
+
+    /** A REF restores @p rows rows from @p first on, wrapping; a
+     *  logging bank logs it as one entry (stripes of one length). */
+    void onRefreshStripe(Row first, std::uint64_t rows);
 
     /**
      * The logical rows that are physically within @p distance of
@@ -213,6 +217,9 @@ class FaultModel
     /// Tag of a refreshed row in the log; untagged entries are ACTs.
     static constexpr std::uint32_t kRefreshTag = 1u << 31;
 
+    /// Tag of a REF stripe's first row (_logStripeRows long).
+    static constexpr std::uint32_t kStripeTag = 1u << 30;
+
     /** Append @p entry to the log; false (and the bank replays) when
      *  the log is full. */
     bool append(std::uint32_t entry);
@@ -276,6 +283,8 @@ class FaultModel
     mutable std::vector<std::uint32_t> _log; // analyze: ckpt-exempt(_log) replayed into _cells before any save
     /// ACT entries in _log: an upper bound on every row's count.
     std::uint64_t _logActs = 0; // analyze: ckpt-exempt(_logActs) log bookkeeping, unused once replayed
+    /// Length of every stripe in _log (0: none logged yet).
+    std::uint64_t _logStripeRows = 0; // analyze: ckpt-exempt(_logStripeRows) log bookkeeping, unused once replayed
     mutable bool _logging = false; // analyze: ckpt-exempt(_logging) storage layout, a restore lands in the table
     /// Sparse: open-addressed table (power-of-two size, linear
     /// probing, load <= 1/2). Dense: one cell per row. Checkpoints

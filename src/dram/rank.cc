@@ -71,12 +71,8 @@ Rank::issueRefresh(Cycle cycle)
     for (auto &b : _banks)
         b.block(cycle, done);
 
-    for (std::uint64_t i = 0; i < _rowsPerRefresh; ++i) {
-        const Row row{static_cast<Row::rep>(
-            (_refreshPointer.value() + i) % _rowsPerBank)};
-        for (unsigned b = 0; b < _banks.size(); ++b)
-            _faults[b].onRowRefresh(row);
-    }
+    for (FaultModel &f : _faults)
+        f.onRefreshStripe(_refreshPointer, _rowsPerRefresh);
     _refreshPointer = Row{static_cast<Row::rep>(
         (_refreshPointer.value() + _rowsPerRefresh) % _rowsPerBank)};
 

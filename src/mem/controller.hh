@@ -7,11 +7,12 @@
  * precise bank timing (ACT/PRE/RD/WR gated by tRC, tRCD, tRP, tRAS),
  * a shared data bus, periodic auto-refresh (REF every tREFI, tRFC
  * busy), and an open-page policy with a row-hit cap approximating the
- * paper's minimalist-open configuration. Every ACT is reported to the
- * bank's protection scheme; requested victim refreshes are applied
- * immediately as NRR commands or explicit victim-row refreshes that
- * keep the bank busy for tRC per refreshed row — exactly the overhead
- * accounting of Section V-B.
+ * paper's minimalist-open configuration. Every ACT runs through the
+ * ProtectedRank, whose victim refreshes keep the bank busy for tRC
+ * per refreshed row — the overhead accounting of Section V-B. A burst
+ * of more than one row is owed as refresh debt and paid down one row
+ * before each later access to its bank, the way real controllers
+ * interleave large bursts (CBT's range refreshes) with demand traffic.
  *
  * Scheduling simplification vs. the paper's PAR-BS: requests are
  * serviced per bank in arrival order with row-hit batching. Because
@@ -25,17 +26,11 @@
 #define MEM_CONTROLLER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
-#include "core/protection_scheme.hh"
-#include "dram/address.hh"
-#include "dram/rank.hh"
+#include "mem/protected_rank.hh"
 #include "mem/request.hh"
-#include "obs/obs.hh"
-#include "schemes/factory.hh"
 
 namespace graphene {
 namespace mem {
@@ -52,21 +47,6 @@ struct ControllerConfig
     /** Consecutive row hits before the page is closed
      *  (minimalist-open style). */
     unsigned pageHitLimit = 4;
-
-    /**
-     * Victim-refresh bursts larger than this many rows are drained
-     * incrementally: the bank owes the burst's busy time as "refresh
-     * debt" paid down this many rows at a time before subsequent
-     * demand accesses, instead of one atomic multi-microsecond
-     * block. Real controllers interleave large bursts (CBT's range
-     * refreshes) with demand traffic exactly this way — each victim
-     * row is an internal ACT/PRE pair that demand requests can slip
-     * between. One row per access keeps the effective service time
-     * below the arrival spacing and avoids pathological queueing
-     * that the atomic model suffers. Small bursts (NRR's 2n rows)
-     * stay atomic. Zero disables chunking (fully atomic bursts).
-     */
-    unsigned refreshChunkRows = 1;
 
     /**
      * Observability sink the controller reports into (null: none).
@@ -90,8 +70,8 @@ struct ServiceResult
 };
 
 /**
- * One channel: one rank of banks, one protection scheme instance per
- * bank, one data bus.
+ * One channel: the request front end (page policy, tFAW, data bus,
+ * refresh-debt pay-down) of one protected rank.
  */
 class ChannelController
 {
@@ -107,25 +87,25 @@ class ChannelController
                          bool is_write);
 
     /** Apply all refreshes due up to @p cycle (also done lazily). */
-    void catchUpRefresh(Cycle cycle);
+    void catchUpRefresh(Cycle cycle) { _rank.catchUpRefresh(cycle); }
 
-    dram::Rank &rank() { return _rank; }
-    const dram::Rank &rank() const { return _rank; }
+    dram::Rank &rank() { return _rank.dram(); }
+    const dram::Rank &rank() const { return _rank.dram(); }
 
     /** Protection scheme guarding @p bank (nullptr when none). */
-    ProtectionScheme *scheme(unsigned bank);
+    ProtectionScheme *scheme(unsigned bank) { return _rank.scheme(bank); }
 
     /** Observability probe of @p bank (detached when unconfigured). */
-    obs::Probe probe(unsigned bank) const { return _probes[bank]; }
+    obs::Probe probe(unsigned bank) const { return _rank.probe(bank); }
 
     /** Victim rows refreshed across the channel so far. */
     std::uint64_t victimRowsRefreshed() const
     {
-        return _rank.nrrRowCount();
+        return rank().nrrRowCount();
     }
 
     /** Total ACT commands issued. */
-    ActCount actCount() const { return ActCount{_acts}; }
+    ActCount actCount() const { return ActCount{_rank.acts()}; }
 
     /** Total requests serviced. */
     std::uint64_t requestCount() const { return _requests; }
@@ -133,26 +113,14 @@ class ChannelController
     /** Row-buffer hit fraction so far. */
     double rowHitRate() const;
 
-    const ControllerConfig &config() const { return _config; }
-
   private:
-    void applyAction(Cycle cycle, unsigned bank,
-                     const RefreshAction &action);
-
     ControllerConfig _config;
     dram::CycleTiming _cycles;
-    dram::Rank _rank;
-    std::vector<std::unique_ptr<ProtectionScheme>> _schemes;
-    /// One probe per bank (all empty under GRAPHENE_OBS_OFF).
-    std::vector<obs::Probe> _probes;
+    ProtectedRank _rank;
     std::vector<unsigned> _consecutiveHits;
-    /// Outstanding victim-refresh busy cycles owed per bank.
-    std::vector<Cycle> _refreshDebt;
     Cycle _busFreeAt{};
-    std::uint64_t _acts = 0;
     std::uint64_t _requests = 0;
     std::uint64_t _rowHits = 0;
-    RefreshAction _scratchAction;
 };
 
 } // namespace mem

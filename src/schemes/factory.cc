@@ -182,5 +182,25 @@ validateSchemeSpec(const SchemeSpec &spec)
     return Result<void>::success();
 }
 
+SchemeSpec
+bankSpec(SchemeSpec spec, std::uint64_t rows_per_bank,
+         const dram::TimingParams &timing)
+{
+    spec.rowsPerBank = rows_per_bank;
+    spec.timing = timing;
+    return spec;
+}
+
+void
+addSpecErrors(const SchemeSpec &spec, ErrorCollector &errors)
+{
+    const Result<void> valid = validateSchemeSpec(spec);
+    if (valid.ok())
+        return;
+    errors.add("scheme spec: " + valid.error().message());
+    for (const auto &note : valid.error().notes())
+        errors.add("scheme spec: " + note);
+}
+
 } // namespace schemes
 } // namespace graphene

@@ -72,6 +72,14 @@ makeScheme(const SchemeSpec &spec);
  */
 Result<void> validateSchemeSpec(const SchemeSpec &spec);
 
+/** @p spec completed with the geometry and timing of its bank. */
+SchemeSpec bankSpec(SchemeSpec spec, std::uint64_t rows_per_bank,
+                    const dram::TimingParams &timing);
+
+/** Add each rule @p spec breaks to @p errors as a "scheme spec: "
+ *  note (every simulator config's validate() checks its bank spec). */
+void addSpecErrors(const SchemeSpec &spec, ErrorCollector &errors);
+
 /** CBT counter budget at @p rh_threshold (doubles per halving). */
 unsigned cbtCountersFor(std::uint64_t rh_threshold);
 

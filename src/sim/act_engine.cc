@@ -21,16 +21,8 @@ ActEngineConfig::validate() const
     if (rowsPerBank == 0)
         errors.add("act engine: need at least one row per bank");
 
-    schemes::SchemeSpec spec = scheme;
-    spec.rowsPerBank = rowsPerBank;
-    spec.timing = timing;
-    const Result<void> spec_valid =
-        schemes::validateSchemeSpec(spec);
-    if (!spec_valid.ok()) {
-        errors.add("scheme spec: " + spec_valid.error().message());
-        for (const auto &note : spec_valid.error().notes())
-            errors.add("scheme spec: " + note);
-    }
+    schemes::addSpecErrors(
+        schemes::bankSpec(scheme, rowsPerBank, timing), errors);
     return errors.finish();
 }
 
@@ -39,10 +31,8 @@ namespace {
 dram::FaultConfig
 faultConfigFor(const ActEngineConfig &config)
 {
-    dram::FaultConfig fault;
-    fault.rowHammerThreshold = static_cast<double>(
-        config.physicalThreshold ? config.physicalThreshold
-                                 : config.scheme.rowHammerThreshold);
+    dram::FaultConfig fault =
+        mem::faultConfigFor(config.scheme, config.physicalThreshold);
     const unsigned radius = std::max(config.faultRadius, 1u);
     fault.mu.assign(radius, 0.0);
     for (unsigned i = 1; i <= radius; ++i)
@@ -52,38 +42,24 @@ faultConfigFor(const ActEngineConfig &config)
     return fault;
 }
 
-schemes::SchemeSpec
-specFor(const ActEngineConfig &config)
-{
-    schemes::SchemeSpec spec = config.scheme;
-    spec.rowsPerBank = config.rowsPerBank;
-    spec.timing = config.timing;
-    return spec;
-}
-
-std::unique_ptr<ProtectionScheme>
-buildScheme(const ActEngineConfig &config)
+const ActEngineConfig &
+checked(const ActEngineConfig &config)
 {
     const Result<void> valid = config.validate();
     GRAPHENE_CHECK(valid.ok(),
                    "act engine: invalid config (validate() before "
                    "running): %s", valid.error().describe().c_str());
-    auto built = schemes::makeScheme(specFor(config));
-    GRAPHENE_CHECK(built.ok(),
-                   "act engine: invalid scheme spec: %s",
-                   built.error().describe().c_str());
-    return std::move(built).value();
+    return config;
 }
 
 } // namespace
 
 ActStreamEngine::ActStreamEngine(const ActEngineConfig &config,
                                  workloads::ActPattern &pattern)
-    : _config(config), _pattern(pattern), _spec(specFor(config)),
-      _rank(config.timing, 1, config.rowsPerBank,
-            faultConfigFor(config)),
-      _scheme(buildScheme(config)),
-      _probe(obs::probeFor(config.obs, 0)),
+    : _config(checked(config)), _pattern(pattern),
+      _rank(mem::ProtectedRank::Owner::ActEngine, config.timing, 1,
+            config.rowsPerBank, faultConfigFor(config), config.scheme,
+            config.obs, 0),
       _horizon{static_cast<std::uint64_t>(
           static_cast<double>(config.timing.cREFW().value()) *
           config.windows)},
@@ -92,48 +68,6 @@ ActStreamEngine::ActStreamEngine(const ActEngineConfig &config,
 {
     if (_config.obs)
         _config.obs->metrics.beginWindows(_config.timing.cREFW());
-    if (_scheme)
-        _scheme->attachProbe(_probe);
-}
-
-void
-ActStreamEngine::applyAction(Cycle cycle)
-{
-    if (_action.empty())
-        return;
-    for (Row aggressor : _action.nrrAggressors) {
-        _rank.issueNrr(cycle, 0, aggressor, _spec.blastRadius);
-        ++_result.nrrEvents;
-    }
-    if (!_action.victimRows.empty()) {
-        std::vector<Row> rows;
-        rows.reserve(_action.victimRows.size());
-        for (Row r : _action.victimRows)
-            if (r.value() < _config.rowsPerBank)
-                rows.push_back(r);
-        _rank.refreshVictimRows(cycle, 0, rows);
-        if (!rows.empty())
-            _probe.count(cycle, "engine.victim_rows",
-                         static_cast<double>(rows.size()));
-    }
-    _action.clear();
-}
-
-void
-ActStreamEngine::catchUpRefresh(Cycle cycle)
-{
-    while (_rank.nextRefreshDue() <= cycle) {
-        const Cycle due = _rank.nextRefreshDue();
-        _rank.issueRefresh(due);
-        ++_result.refreshCommands;
-        _probe.emit(due, obs::EventKind::PeriodicRef);
-        _probe.count(due, "engine.refs");
-        if (_scheme) {
-            _action.clear();
-            _scheme->onRefresh(due, _action);
-            applyAction(due);
-        }
-    }
 }
 
 bool
@@ -142,23 +76,14 @@ ActStreamEngine::step()
     if (_done)
         return false;
 
+    // REF, and the victim refreshes it triggers, may push the bank's
+    // ACT availability past the nominal slot: catch up twice.
+    dram::Bank &bank = _rank.dram().bank(0);
     Cycle cycle{static_cast<std::uint64_t>(_nextAct)};
-    if (cycle >= _horizon) {
-        _done = true;
-        return false;
+    for (int pass = 0; pass < 2 && cycle < _horizon; ++pass) {
+        _rank.catchUpRefresh(cycle);
+        cycle = bank.earliestAct(cycle);
     }
-    catchUpRefresh(cycle);
-
-    // Victim refreshes and REF may have pushed the bank's ACT
-    // availability past the nominal slot.
-    dram::Bank &bank = _rank.bank(0);
-    cycle = bank.earliestAct(cycle);
-    if (cycle >= _horizon) {
-        _done = true;
-        return false;
-    }
-    catchUpRefresh(cycle);
-    cycle = bank.earliestAct(cycle);
     if (cycle >= _horizon) {
         _done = true;
         return false;
@@ -167,16 +92,7 @@ ActStreamEngine::step()
     const Row row = _pattern.next();
     bank.issueAct(cycle, row);
     bank.issuePrecharge(bank.earliestPrecharge(cycle));
-    ++_result.acts;
-    _probe.emit(cycle, obs::EventKind::Act, row);
-    _probe.count(cycle, "engine.acts");
-    _rank.notifyActivate(cycle, 0, row);
-
-    if (_scheme) {
-        _action.clear();
-        _scheme->onActivate(cycle, row, _action);
-        applyAction(cycle);
-    }
+    _rank.activate(cycle, 0, row);
 
     _nextAct = static_cast<double>(cycle.value()) + _spacing;
     return true;
@@ -220,26 +136,17 @@ ActStreamEngine::finish()
 {
     if (_config.obs)
         _config.obs->metrics.finish();
-    _result.victimRowsRefreshed = _rank.nrrRowCount();
-    _result.bitFlips = _rank.faultModel(0).flips().size();
-    _result.peakDisturbance = _rank.faultModel(0).peakDisturbance();
-    _result.windows = _config.windows;
-    _result.refreshEnergyOverhead =
-        model::EnergyModel::refreshOverhead(
-            _result.victimRowsRefreshed, 1, _config.windows);
-    return _result;
-}
-
-std::uint64_t
-ActStreamEngine::victimRowsRefreshedSoFar() const
-{
-    return _rank.nrrRowCount();
-}
-
-std::uint64_t
-ActStreamEngine::bitFlipsSoFar() const
-{
-    return _rank.faultModel(0).flips().size();
+    ActEngineResult result;
+    result.acts = actsSoFar();
+    result.nrrEvents = nrrEventsSoFar();
+    result.refreshCommands = refreshCommandsSoFar();
+    result.victimRowsRefreshed = victimRowsRefreshedSoFar();
+    result.bitFlips = bitFlipsSoFar();
+    result.peakDisturbance = _rank.dram().faultModel(0).peakDisturbance();
+    result.windows = _config.windows;
+    result.refreshEnergyOverhead = model::EnergyModel::refreshOverhead(
+        result.victimRowsRefreshed, 1, _config.windows);
+    return result;
 }
 
 std::uint64_t
@@ -274,13 +181,7 @@ ActStreamEngine::saveState(ckpt::Writer &w) const
 {
     w.f64(_nextAct);
     w.boolean(_done);
-    w.u64(_result.acts);
-    w.u64(_result.nrrEvents);
-    w.u64(_result.refreshCommands);
     _rank.saveState(w);
-    w.boolean(_scheme != nullptr);
-    if (_scheme)
-        _scheme->saveState(w);
     _pattern.saveState(w);
     w.boolean(_config.obs != nullptr);
     if (_config.obs)
@@ -292,22 +193,9 @@ ActStreamEngine::restoreState(ckpt::Reader &r)
 {
     _nextAct = r.f64();
     _done = r.boolean();
-    _result = ActEngineResult{};
-    _result.acts = r.u64();
-    _result.nrrEvents = r.u64();
-    _result.refreshCommands = r.u64();
     _rank.restoreState(r);
-    const bool has_scheme = r.boolean();
-    if (has_scheme != (_scheme != nullptr)) {
-        // The fingerprint covers the scheme kind, so a mismatch here
-        // means hand-edited bytes; reject rather than crash.
-        r.fail();
+    if (r.failed())
         return;
-    }
-    if (_scheme) {
-        _scheme->restoreState(r);
-        _scheme->attachProbe(_probe);
-    }
     _pattern.restoreState(r);
     const bool has_obs = r.boolean();
     if (has_obs && _config.obs) {
@@ -321,7 +209,6 @@ ActStreamEngine::restoreState(ckpt::Reader &r)
         // at the resume point; totals-based artifacts still match.
         _config.obs->metrics.beginWindows(_config.timing.cREFW());
     }
-    _action.clear();
 }
 
 std::vector<std::uint8_t>

@@ -19,9 +19,7 @@ replayTrace(const ReplayConfig &config,
     ctrl.banksPerRank = config.geometry.banksPerRank;
     ctrl.rowsPerBank = config.geometry.rowsPerBank;
     ctrl.scheme = config.scheme;
-    ctrl.fault.rowHammerThreshold = static_cast<double>(
-        config.physicalThreshold ? config.physicalThreshold
-                                 : config.scheme.rowHammerThreshold);
+    ctrl.fault = mem::faultConfigFor(config.scheme, config.physicalThreshold);
 
     // Split the trace per channel, preserving issue order.
     const unsigned channels = config.geometry.channels;

@@ -46,16 +46,8 @@ SystemConfig::validate() const
     if (geometry.rowsPerBank == 0)
         errors.add("need at least one row per bank");
 
-    schemes::SchemeSpec spec = scheme;
-    spec.rowsPerBank = geometry.rowsPerBank;
-    spec.timing = timing;
-    const Result<void> spec_valid =
-        schemes::validateSchemeSpec(spec);
-    if (!spec_valid.ok()) {
-        errors.add("scheme spec: " + spec_valid.error().message());
-        for (const auto &note : spec_valid.error().notes())
-            errors.add("scheme spec: " + note);
-    }
+    schemes::addSpecErrors(
+        schemes::bankSpec(scheme, geometry.rowsPerBank, timing), errors);
     return errors.finish();
 }
 
@@ -81,10 +73,8 @@ runSystem(const SystemConfig &config,
     ctrl_config.banksPerRank = config.geometry.banksPerRank;
     ctrl_config.rowsPerBank = config.geometry.rowsPerBank;
     ctrl_config.scheme = config.scheme;
-    ctrl_config.fault.rowHammerThreshold = static_cast<double>(
-        config.physicalThreshold ? config.physicalThreshold
-                                 : config.scheme.rowHammerThreshold);
-    ctrl_config.fault.mu = {1.0};
+    ctrl_config.fault =
+        mem::faultConfigFor(config.scheme, config.physicalThreshold);
     ctrl_config.obs = config.obs;
 
     if (config.obs)

@@ -132,11 +132,11 @@ TEST_P(FaultModelDiff, MatchesDenseReference)
             sut->onActivate(cycle, aggressor);
             ref->onActivate(cycle, aggressor);
         } else if (op < 940) {
-            // One REF stripe: eight consecutive rows, rotating.
-            for (int i = 0; i < 8; ++i, stripe = (stripe + 1) % kRows) {
-                sut->onRowRefresh(Row{static_cast<Row::rep>(stripe)});
+            // One REF stripe: seven consecutive rows, rotating, so
+            // that stripes wrap past the last row.
+            sut->onRefreshStripe(Row{static_cast<Row::rep>(stripe)}, 7);
+            for (int i = 0; i < 7; ++i, stripe = (stripe + 1) % kRows)
                 ref->onRowRefresh(Row{static_cast<Row::rep>(stripe)});
-            }
         } else if (op < 975) {
             // NRR around a (often hot) aggressor.
             const Row aggressor{static_cast<Row::rep>(
@@ -309,9 +309,20 @@ struct Lockstep
         ref.onRowRefresh(row);
     }
 
+    /** The next REF stripe of @p length rows, wrapping at the end. */
+    void refreshStripe(std::uint64_t length = kStripeRows)
+    {
+        sut->onRefreshStripe(Row{static_cast<Row::rep>(stripe)}, length);
+        for (std::uint64_t i = 0; i < length; ++i, stripe = (stripe + 1) % rows)
+            ref.onRowRefresh(Row{static_cast<Row::rep>(stripe)});
+    }
+
+    /// Seven rows, so that a 4096-row bank's stripes wrap.
+    static constexpr std::uint64_t kStripeRows = 7;
+
     /**
      * @p entries log entries: ACTs (mostly around two hot rows near
-     * row 1000), single-row refreshes and a rotating REF stripe, with
+     * row 1000), single-row refreshes and rotating REF stripes, with
      * the flip logs compared after each one.
      */
     void drive(Rng &rng, std::uint64_t entries)
@@ -325,7 +336,7 @@ struct Lockstep
             else if (op == 8)
                 refresh(Row{static_cast<Row::rep>(1000 + rng.nextRange(96))});
             else
-                refresh(Row{static_cast<Row::rep>(stripe++ % rows)});
+                refreshStripe();
             ASSERT_EQ(sut->flips().size(), ref.flips().size())
                 << "entry " << i;
         }
@@ -445,20 +456,70 @@ TEST(FaultModelLog, FirstFlipEndsTheLogWithRemap)
 
 TEST(FaultModelLog, ReplaysAtCapacity)
 {
-    // The entry past the capacity replays first, whether it is an ACT
-    // or a refresh.
-    for (const bool act : {true, false}) {
+    // The entry past the capacity replays first, whether it is an
+    // ACT, a refresh or a REF stripe.
+    for (const int kind : {0, 1, 2}) {
         Lockstep s(unitConfig(1e6), kLogRows);
         Rng rng(11);
         s.drive(rng, kLogCapacity);
-        ASSERT_TRUE(s.sut->logging()) << "act " << act;
-        if (act)
+        ASSERT_TRUE(s.sut->logging()) << "kind " << kind;
+        if (kind == 0)
             s.act(Row{1041});
-        else
+        else if (kind == 1)
             s.refresh(Row{1041});
-        EXPECT_FALSE(s.sut->logging()) << "act " << act;
+        else
+            s.refreshStripe();
+        EXPECT_FALSE(s.sut->logging()) << "kind " << kind;
         expectAgree(s);
     }
+}
+
+TEST(FaultModelLog, AStripeIsOneEntry)
+{
+    // A whole REF rotation of 4096 rows in 4-row stripes is 1024
+    // stripes; a bank logs twice that many before it is full.
+    Lockstep s(unitConfig(1e6), kLogRows);
+    for (std::uint32_t i = 0; i < 200; ++i)
+        s.act(Row{1000 + i % 50});
+    for (std::uint64_t i = 0; i < kLogCapacity - 200; ++i)
+        s.refreshStripe(4);
+    EXPECT_TRUE(s.sut->logging());
+    s.refreshStripe(4);
+    EXPECT_FALSE(s.sut->logging());
+    expectAgree(s);
+}
+
+TEST(FaultModelLog, AStripeOfAnotherLengthReplays)
+{
+    // The log keeps one stripe length; a stripe of another length
+    // leaves the log, and the table clears its rows.
+    Lockstep s(unitConfig(1e6), kLogRows);
+    Rng rng(17);
+    s.drive(rng, 300);
+    ASSERT_TRUE(s.sut->logging());
+    s.stripe = 1030;
+    s.refreshStripe(3);
+    EXPECT_FALSE(s.sut->logging());
+    s.drive(rng, 300);
+    expectAgree(s);
+}
+
+TEST(FaultModelLog, ActBoundReplaysALogOfStripes)
+{
+    // Stripes sweep the hot pair's victims while the log runs; the
+    // ACT that could reach the threshold replays them mid-log.
+    Lockstep s(unitConfig(64.0), kLogRows);
+    s.stripe = 95;
+    for (std::uint32_t i = 0; i < 63; ++i) {
+        s.act(Row{100});
+        if (i % 8 == 0)
+            s.refreshStripe();
+    }
+    ASSERT_TRUE(s.sut->logging());
+    s.act(Row{100});
+    EXPECT_FALSE(s.sut->logging());
+    EXPECT_TRUE(s.sut->flips().empty()) << "the stripes refreshed row 101";
+    expectAgree(s);
 }
 
 TEST(FaultModelLog, SaveMidLogRestoresIntoAFreshModelAndContinues)

@@ -138,39 +138,6 @@ TEST(Controller, VictimRefreshDelaysSubsequentAccesses)
     EXPECT_GE(max_gap, config.timing.inCycles().cRC * 2);
 }
 
-TEST(Controller, RefreshDebtConservesBusyTime)
-{
-    // A CBT-style large burst drained in chunks must charge the same
-    // victim-row count and, over time, the same bank busy cycles as
-    // the atomic model.
-    ControllerConfig chunked = baseConfig(schemes::SchemeKind::Cbt);
-    chunked.scheme.rowHammerThreshold = 2000;
-    chunked.refreshChunkRows = 1;
-    ControllerConfig atomic = chunked;
-    atomic.refreshChunkRows = 0;
-
-    auto run = [](const ControllerConfig &config) {
-        ChannelController ctrl(config);
-        Cycle t{};
-        for (int i = 0; i < 4000; ++i) {
-            const Row row{i % 2 ? 100u : 5000u};
-            const ServiceResult r = ctrl.access(t, 0, row, false);
-            t = r.completion;
-        }
-        return std::pair<std::uint64_t, Cycle>(
-            ctrl.victimRowsRefreshed(), t);
-    };
-
-    const auto [rows_chunked, end_chunked] = run(chunked);
-    const auto [rows_atomic, end_atomic] = run(atomic);
-    EXPECT_GT(rows_chunked, 0u);
-    EXPECT_EQ(rows_chunked, rows_atomic);
-    // Same total work: end times agree within one burst's length.
-    const double ratio = static_cast<double>(end_chunked.value()) /
-                         static_cast<double>(end_atomic.value());
-    EXPECT_NEAR(ratio, 1.0, 0.05);
-}
-
 TEST(Controller, DebtDoesNotLeakAcrossBanks)
 {
     ControllerConfig config = baseConfig(schemes::SchemeKind::Cbt);

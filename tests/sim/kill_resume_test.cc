@@ -248,6 +248,42 @@ TEST(KillResumeReject, MalformedMetricsRegistryIsRejected)
         EXPECT_FALSE(restore(registries[i]).ok()) << "case " << i;
 }
 
+TEST(KillResumeReject, RefreshCountDisagreeingWithTheRankIsRejected)
+{
+    // The REF count is saved in the engine's counter slot and again
+    // inside the rank; a checksum-valid payload whose two copies
+    // disagree must not restore.
+    const ActEngineConfig config =
+        engineConfig(schemes::SchemeKind::Graphene);
+    auto pattern = patternFor(config);
+    ActStreamEngine engine(config, *pattern);
+    engine.runUntil(Cycle{500000});
+    ASSERT_GT(engine.refreshCommandsSoFar(), 0u);
+    ckpt::Writer state;
+    engine.saveState(state);
+
+    // nextAct (f64), done (u8), acts, nrrEvents, then the REF count.
+    constexpr std::size_t kRefSlot = 8 + 1 + 8 + 8;
+    const auto restore = [&](std::uint64_t refs) {
+        std::vector<std::uint8_t> payload = state.data();
+        for (int i = 0; i < 8; ++i)
+            payload[kRefSlot + i] =
+                static_cast<std::uint8_t>(refs >> (8 * i));
+        auto victim_pattern = patternFor(config);
+        ActStreamEngine victim(config, *victim_pattern);
+        return victim.restoreCheckpoint(
+            ckpt::encode(victim.configFingerprint(), payload));
+    };
+    const std::uint64_t refs = engine.refreshCommandsSoFar();
+    ASSERT_TRUE(restore(refs).ok());
+    for (const std::uint64_t bad : {refs - 1, refs + 1, std::uint64_t{0}}) {
+        const Result<void> r = restore(bad);
+        ASSERT_FALSE(r.ok()) << bad;
+        // A restore that fails its reader reports it as truncated.
+        EXPECT_EQ(r.error().code(), ErrorCode::CkptTruncated) << bad;
+    }
+}
+
 TEST(KillResumeReject, CorruptedBytesNeverRestore)
 {
     const ActEngineConfig config =
