@@ -210,10 +210,9 @@ saveRotated(const std::string &path, std::uint64_t config_fingerprint,
 }
 
 LoadReport
-loadNewest(
-    const std::string &path, std::uint64_t config_fingerprint,
-    const std::function<Result<void>(const std::vector<std::uint8_t> &)>
-        &accept)
+loadNewest(const std::string &path,
+           std::optional<std::uint64_t> config_fingerprint,
+           const std::function<Result<void>(const Blob &)> &accept)
 {
     LoadReport report;
     for (const std::string &candidate : {path, path + ".prev"}) {
@@ -222,7 +221,7 @@ loadNewest(
             continue;
         const Result<Blob> blob = loadFile(candidate, config_fingerprint);
         const Result<void> taken =
-            blob.ok() ? accept(blob.value().payload)
+            blob.ok() ? accept(blob.value())
                       : Result<void>(blob.error());
         if (taken.ok()) {
             report.source = candidate;

@@ -34,10 +34,9 @@
  *
  * saveFile() writes atomically: tmp file, fsync, rename — so a crash
  * mid-save leaves either the previous artifact or none, never a torn
- * one. saveRotated()/loadNewest() add the generational protocol the
- * artifacts rewritten in place (the serve manifest and session
- * checkpoints) share: keep the previous file as `.prev`, load the
- * newest valid one.
+ * one. saveRotated()/loadNewest() add the generational protocol of
+ * the artifacts rewritten in place (the serve session files): keep
+ * the previous file as `.prev`, load the newest valid one.
  */
 
 #ifndef CKPT_CHECKPOINT_HH
@@ -121,14 +120,16 @@ struct LoadReport
 
 /**
  * Try @p path, then `<path>.prev`, stopping at the first candidate
- * that decodes against @p config_fingerprint and whose payload
- * @p accept takes. An absent candidate leaves no note; a rejected one
- * (by decode() or by @p accept) leaves its typed describe().
+ * that decodes against @p config_fingerprint (any producer when it is
+ * std::nullopt: @p accept then judges the header's fingerprint) and
+ * whose blob @p accept takes. An absent candidate leaves no note; a
+ * rejected one (by decode() or by @p accept) leaves its typed
+ * describe().
  */
-LoadReport loadNewest(
-    const std::string &path, std::uint64_t config_fingerprint,
-    const std::function<Result<void>(const std::vector<std::uint8_t> &)>
-        &accept);
+LoadReport
+loadNewest(const std::string &path,
+           std::optional<std::uint64_t> config_fingerprint,
+           const std::function<Result<void>(const Blob &)> &accept);
 
 } // namespace ckpt
 } // namespace graphene

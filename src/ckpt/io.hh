@@ -154,7 +154,7 @@ class Reader
     {
         const std::uint64_t n = u64();
         if (n > remaining())
-            fail();
+            _failed = true;
         return _failed ? 0 : n;
     }
 
@@ -176,20 +176,35 @@ class Reader
      * Latch a failure from restore-side validation (an element count
      * that disagrees with the receiving structure, an out-of-range
      * row id): the restore keeps running harmlessly and finish()
-     * reports the rejection.
+     * reports the rejection. A reader that already ran short stays
+     * reported as short.
      */
-    void fail() { _failed = true; }
+    void fail()
+    {
+        if (!_failed)
+            _rejected = true;
+        _failed = true;
+    }
 
     /**
      * Terminal check after a full restore pass: the stream must have
      * satisfied every read and been consumed exactly. A short read
      * means the payload lied about its own layout (truncation that
      * survived the checksum can only be a serialization bug, but it
-     * is still rejected, not trusted); leftover bytes mean the
-     * save/restore pair disagree about the schema.
+     * is still rejected, not trusted); a value that failed
+     * validation is reported with the offset the reader had reached
+     * (later reads never advance it); leftover bytes mean the
+     * save/restore pair disagree about the schema. Both latches keep
+     * CkptTruncated.
      */
     Result<void> finish() const
     {
+        if (_rejected)
+            return Error(ErrorCode::CkptTruncated,
+                         strprintf("checkpoint payload rejected: a "
+                                   "restored value failed validation "
+                                   "at byte %zu of %zu",
+                                   _pos, _size));
         if (_failed)
             return Error(ErrorCode::CkptTruncated,
                          strprintf("checkpoint payload ended early "
@@ -218,6 +233,7 @@ class Reader
     std::size_t _size;
     std::size_t _pos = 0;
     bool _failed = false;
+    bool _rejected = false; ///< The latch came from fail().
 };
 
 } // namespace ckpt

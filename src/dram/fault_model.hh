@@ -232,7 +232,10 @@ class FaultModel
      *  mutable members (no flip lands inside the log). */
     void settle() const
     {
-        if (_logging)
+        // An empty log has nothing to replay, so a fresh bank keeps
+        // logging through a read or a checkpoint (a serve session is
+        // checkpointed when it starts).
+        if (_logging && !_log.empty())
             const_cast<FaultModel *>(this)->replay();
     }
 

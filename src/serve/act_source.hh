@@ -53,7 +53,7 @@ namespace serve {
 /**
  * Declarative description of one stream: enough to (re)build the
  * source on admission, resume, and cross-scheme forking. Serialized
- * into the serve manifest; describe() feeds the engine's config
+ * into each session file; describe() feeds the engine's config
  * fingerprint so a checkpoint can never transplant onto a session
  * fed from a different stream.
  */

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "ckpt/checkpoint.hh"
@@ -104,8 +105,7 @@ parseForkSpec(const std::string &text)
     return fork;
 }
 
-ServeDriver::ServeDriver(DriverOptions opts)
-    : _opts(std::move(opts)), _manifest(ckptDir())
+ServeDriver::ServeDriver(DriverOptions opts) : _opts(std::move(opts))
 {
     for (const ForkSpec &fork : _opts.forks)
         _pendingForks.push_back(fork);
@@ -170,67 +170,78 @@ ServeDriver::admit(const SessionSpec &spec)
     return Result<void>::success();
 }
 
-Result<void>
-ServeDriver::admitFromManifest(RunReport &report)
+void
+ServeDriver::admitFromSessionFiles(RunReport &report)
 {
-    const ckpt::LoadReport loaded = _manifest.load();
-    for (const std::string &note : loaded.notes)
-        report.notes.push_back("manifest: " + note);
-    if (loaded.source.empty())
-        return Result<void>::success(); // nothing durable yet
-
-    for (const auto &[id, entry] : _manifest.entries()) {
-        const Session *existing = findSession(id);
-        if (existing != nullptr) {
-            if (existing->spec().fingerprint() !=
-                entry.spec.fingerprint())
-                report.notes.push_back(
-                    "manifest: session '" + id +
-                    "' was re-admitted with a different spec; its "
-                    "old checkpoint will be rejected and the "
-                    "session restarts fresh");
+    // A crash between saveRotated's rotation and its write leaves only
+    // the `.prev`, so either file names a session.
+    std::set<std::string> ids;
+    std::error_code ec;
+    for (const fs::directory_entry &entry :
+         fs::directory_iterator(ckptDir(), ec)) {
+        std::string name = entry.path().filename().string();
+        if (name.ends_with(".prev"))
+            name.resize(name.size() - 5);
+        // session_<id>.gckp
+        if (name.starts_with("session_") && name.ends_with(".gckp"))
+            ids.insert(name.substr(8, name.size() - 8 - 5));
+    }
+    for (const std::string &id : ids) {
+        // An admitted id is judged by its own startResumed(), which
+        // notes a file written for a different spec.
+        if (findSession(id) != nullptr)
             continue;
-        }
-        const Result<void> admitted = admit(entry.spec);
+        const Result<SessionSpec> spec = Session::readSpec(ckptDir(), id);
+        const Result<void> admitted =
+            spec.ok() ? admit(spec.value()) : Result<void>(spec.error());
         if (!admitted.ok())
-            report.notes.push_back("manifest: session '" + id +
-                                   "' not re-admitted: " +
+            report.notes.push_back("session '" + id +
+                                   "' not resumed: " +
                                    admitted.error().message());
     }
-    return Result<void>::success();
 }
 
-Result<void>
+void
+ServeDriver::save(Slot &slot)
+{
+    const Result<void> saved = slot.session->checkpoint();
+    if (!saved.ok() && slot.note.empty())
+        slot.note = "checkpoint: " + saved.error().message();
+}
+
+void
 ServeDriver::startSessions(RunReport &report)
 {
     for (Slot &slot : _slots) {
         if (slot.started)
             continue;
         slot.session->attachAlertRules(&_rules);
+        Result<void> started;
         if (_opts.resume) {
             Result<ckpt::LoadReport> resumed =
                 slot.session->startResumed();
-            if (!resumed.ok()) {
-                slot.note = resumed.error().describe();
-                continue;
+            if (resumed.ok()) {
+                if (!resumed.value().source.empty())
+                    ++report.resumed;
+                for (const std::string &note : resumed.value().notes)
+                    report.notes.push_back(
+                        slot.session->spec().id + ": " + note);
+            } else {
+                started = resumed.error();
             }
-            if (!resumed.value().source.empty())
-                ++report.resumed;
-            for (const std::string &note : resumed.value().notes)
-                report.notes.push_back(
-                    slot.session->spec().id + ": " + note);
-            slot.started = true;
         } else {
-            const Result<void> started = slot.session->start();
-            if (!started.ok()) {
-                slot.note = started.error().describe();
-                continue;
-            }
-            slot.started = true;
+            started = slot.session->start();
         }
-        publishLive(slot);
+        if (started.ok()) {
+            slot.started = true;
+            publishLive(slot);
+        } else {
+            slot.note = started.error().describe();
+        }
+        // The file exists from the start on: a resume finds the
+        // session, and retries one whose start failed.
+        save(slot);
     }
-    return Result<void>::success();
 }
 
 void
@@ -356,15 +367,12 @@ ServeDriver::runPhase(const CancelToken &cancel)
         ++slot.quanta;
         publishLive(slot);
         maybeRefreshStatus();
-        if (outcome != Session::QuantumOutcome::Again)
-            return false;
-        if (_opts.ckptEveryQuanta != 0 &&
-            slot.quanta % _opts.ckptEveryQuanta == 0) {
-            const Result<void> ck = slot.session->checkpoint();
-            if (!ck.ok() && slot.note.empty())
-                slot.note = "checkpoint: " + ck.error().message();
-        }
-        return true;
+        const bool again = outcome == Session::QuantumOutcome::Again;
+        // Also once at the finish, so a resume never reruns it.
+        if (!again || (_opts.ckptEveryQuanta != 0 &&
+                       slot.quanta % _opts.ckptEveryQuanta == 0))
+            save(slot);
+        return again;
     });
     return active.size();
 }
@@ -439,30 +447,12 @@ ServeDriver::materializeFork(const ForkSpec &fork, RunReport &report)
     }
     slot.started = true;
     publishLive(slot);
+    save(slot);
     _slots.push_back(std::move(slot));
     ++report.forked;
     obs::probeFor(_opts.obs, 0).count(Cycle{0},
                                       "serve.forks_materialized");
     return Result<void>::success();
-}
-
-void
-ServeDriver::recordRoster()
-{
-    for (const Slot &slot : _slots) {
-        Manifest::Entry entry;
-        entry.spec = slot.session->spec();
-        if (!slot.started) {
-            // Never came up (setup failure): recorded as failed so a
-            // resume reports it rather than silently forgetting it.
-            entry.state = Session::State::Failed;
-            entry.failure = slot.note;
-        } else {
-            entry.state = slot.session->state();
-            entry.failure = slot.session->failure();
-        }
-        _manifest.record(entry);
-    }
 }
 
 Result<ServeDriver::RunReport>
@@ -490,11 +480,8 @@ ServeDriver::run(const CancelToken &cancel)
                                    telemetryDir().c_str(),
                                    ec.message().c_str()));
     }
-    if (_opts.resume) {
-        const Result<void> loaded = admitFromManifest(report);
-        if (!loaded.ok())
-            return loaded.error();
-    }
+    if (_opts.resume)
+        admitFromSessionFiles(report);
 
     // Pre-flight every fork directive: bad directives are operator
     // errors, not per-session data.
@@ -529,9 +516,7 @@ ServeDriver::run(const CancelToken &cancel)
     }
     _pendingForks.clear();
 
-    const Result<void> started = startSessions(report);
-    if (!started.ok())
-        return started.error();
+    startSessions(report);
 
     // Register triggers on parents that exist now; chained forks
     // (parent itself a fork child) register when the child appears.
@@ -552,12 +537,6 @@ ServeDriver::run(const CancelToken &cancel)
         }
     };
     registerTriggers();
-
-    recordRoster();
-    Result<void> persisted = _manifest.persist();
-    if (!persisted.ok())
-        report.notes.push_back("manifest: " +
-                               persisted.error().message());
 
     // Scheduling phases: each phase drains the current roster over
     // the pool; forks materialize between phases and run in the
@@ -588,12 +567,6 @@ ServeDriver::run(const CancelToken &cancel)
         pending = std::move(still);
         registerTriggers();
 
-        recordRoster();
-        persisted = _manifest.persist();
-        if (!persisted.ok())
-            report.notes.push_back("manifest: " +
-                                   persisted.error().message());
-
         const bool any_active = std::any_of(
             _slots.begin(), _slots.end(), [](const Slot &slot) {
                 return slot.started &&
@@ -612,22 +585,12 @@ ServeDriver::run(const CancelToken &cancel)
                              : "' was never admitted"));
 
     // Drain: checkpoint everything still live so a --resume picks up
-    // from this exact durability point, then persist the roster.
-    for (Slot &slot : _slots) {
-        if (!slot.started ||
-            slot.session->state() != Session::State::Active)
-            continue;
-        const Result<void> ck = slot.session->checkpoint();
-        if (!ck.ok())
-            report.notes.push_back(slot.session->spec().id +
-                                   ": drain checkpoint: " +
-                                   ck.error().message());
-    }
-    recordRoster();
-    persisted = _manifest.persist();
-    if (!persisted.ok())
-        report.notes.push_back("manifest: " +
-                               persisted.error().message());
+    // from this exact durability point (finished sessions wrote their
+    // file when they finished).
+    for (Slot &slot : _slots)
+        if (slot.started &&
+            slot.session->state() == Session::State::Active)
+            save(slot);
 
     for (const Slot &slot : _slots) {
         if (!slot.started ||

@@ -15,9 +15,12 @@
  *
  * Lifecycle: admit() (bounded by maxSessions — the typed-error
  * admission control), run() executes scheduling *phases* until the
- * roster drains, drain-on-cancel checkpoints every live session and
- * persists the manifest so a later --resume continues from the last
- * durability point. Fork children materialize at phase boundaries:
+ * roster drains, drain-on-cancel checkpoints every live session so a
+ * later --resume continues from the last durability point. Each
+ * session's `session_<id>.gckp` is written when it starts, every
+ * ckptEveryQuanta quanta, when it finishes and at drain; it holds the
+ * spec, so --resume rebuilds the roster, fork children included, from
+ * these files alone. Fork children materialize at phase boundaries:
  * a same-scheme fork warm-starts from the parent's window-boundary
  * artifact (startForked); a cross-scheme fork cannot transplant
  * engine state (the checkpoint fingerprint embeds the scheme) and
@@ -38,7 +41,6 @@
 #include "obs/alerts.hh"
 #include "obs/export.hh"
 #include "obs/obs.hh"
-#include "serve/manifest.hh"
 #include "serve/session.hh"
 
 namespace graphene {
@@ -83,8 +85,8 @@ struct DriverOptions
     /** Checkpoint directory; empty = `<outDir>/ckpt`. */
     std::string ckptDir;
 
-    /** Rebuild the roster from the manifest and resume sessions from
-     *  their checkpoints. */
+    /** Rebuild the roster from the session files in the checkpoint
+     *  directory and resume every session from its own file. */
     bool resume = false;
 
     /** Observability sink shared by all sessions (never
@@ -146,10 +148,10 @@ class ServeDriver
     /**
      * Run the service to completion or cancellation: start (or
      * resume) every session, schedule quanta over the pool, fork at
-     * phase boundaries, and drain — checkpoint every live session
-     * and persist the manifest — before returning. Only setup-level
-     * failures (unusable directories, an unknown fork parent) are
-     * errors; per-session failures are data in the report.
+     * phase boundaries, and drain — checkpoint every live session —
+     * before returning. Only setup-level failures (unusable
+     * directories, an unknown fork parent) are errors; per-session
+     * failures are data in the report.
      */
     Result<RunReport> run(const CancelToken &cancel);
 
@@ -182,12 +184,13 @@ class ServeDriver
     std::string ckptDir() const;
     std::string telemetryDir() const;
     std::string forkArtifactPath(const std::string &child) const;
-    Result<void> admitFromManifest(RunReport &report);
-    Result<void> startSessions(RunReport &report);
+    void admitFromSessionFiles(RunReport &report);
+    void startSessions(RunReport &report);
+    /** Session::checkpoint(), its failure kept as the slot's note. */
+    void save(Slot &slot);
     std::size_t runPhase(const CancelToken &cancel);
     Result<void> materializeFork(const ForkSpec &fork,
                                  RunReport &report);
-    void recordRoster();
     void publishLive(Slot &slot);
     void maybeRefreshStatus();
     obs::ServiceStatus liveStatus() const;
@@ -196,7 +199,6 @@ class ServeDriver
     DriverOptions _opts;
     std::vector<Slot> _slots;
     std::vector<ForkSpec> _pendingForks;
-    Manifest _manifest;
     std::vector<obs::AlertRule> _rules;
     std::atomic<std::uint64_t> _turns{0};
     std::atomic_flag _statusBusy = ATOMIC_FLAG_INIT;

@@ -20,6 +20,30 @@ validIdChar(char c)
            (c >= '0' && c <= '9') || c == '_' || c == '-';
 }
 
+/** FNV-1a over @p tag and the spec's fields. */
+std::uint64_t
+taggedDigest(const char *tag, const SessionSpec &spec)
+{
+    ckpt::Writer enc;
+    enc.str(tag);
+    spec.save(enc);
+    return ckpt::fnv1a(enc.data().data(), enc.size());
+}
+
+/** Frames session files, which hold the spec and then the state
+ *  (fork artifacts hold the state alone, under fingerprint()). */
+std::uint64_t
+fileFingerprint(const SessionSpec &spec)
+{
+    return taggedDigest("graphene-serve-session-v2", spec);
+}
+
+std::string
+sessionFile(const std::string &ckpt_dir, const std::string &id)
+{
+    return ckpt_dir + "/session_" + id + ".gckp";
+}
+
 Result<void>
 ensureDir(const std::string &dir)
 {
@@ -67,6 +91,10 @@ copyJsonlPrefix(const std::string &from, const std::string &to,
                       from.c_str(),
                       static_cast<unsigned long long>(have), recorder,
                       static_cast<unsigned long long>(lines)));
+    // In place with nothing past the prefix: the file already is it.
+    if (from == to && !in.eof() &&
+        in.peek() == std::ifstream::traits_type::eof())
+        return Result<void>::success();
     in.close();
     // Atomic: a crash mid-copy must not leave @p to shorter than the
     // prefix the recorder promises is durable.
@@ -105,10 +133,7 @@ SessionSpec::validate() const
 std::uint64_t
 SessionSpec::fingerprint() const
 {
-    ckpt::Writer enc;
-    enc.str("graphene-serve-session-v1");
-    save(enc);
-    return ckpt::fnv1a(enc.data().data(), enc.size());
+    return taggedDigest("graphene-serve-session-v1", *this);
 }
 
 sim::ActEngineConfig
@@ -203,7 +228,37 @@ Session::jsonlPath() const
 std::string
 Session::ckptPath() const
 {
-    return _ckptDir + "/session_" + _spec.id + ".gckp";
+    return sessionFile(_ckptDir, _spec.id);
+}
+
+Result<SessionSpec>
+Session::readSpec(const std::string &ckpt_dir, const std::string &id)
+{
+    SessionSpec spec;
+    const ckpt::LoadReport report = ckpt::loadNewest(
+        sessionFile(ckpt_dir, id), std::nullopt,
+        [&](const ckpt::Blob &blob) -> Result<void> {
+            ckpt::Reader r(blob.payload);
+            spec = SessionSpec::load(r);
+            if (r.failed())
+                return r.finish();
+            if (spec.id != id ||
+                blob.configFingerprint != fileFingerprint(spec))
+                return Error(ErrorCode::CkptConfigMismatch,
+                             "the header does not frame the session "
+                             "spec the file holds");
+            return Result<void>::success();
+        });
+    if (!report.source.empty())
+        return spec;
+    std::string why;
+    for (const std::string &note : report.notes)
+        why += "; " + note;
+    return Error(ErrorCode::NotFound,
+                 report.notes.empty()
+                     ? "no session file '" + sessionFile(ckpt_dir, id) +
+                           "' or its .prev"
+                     : "no usable session file" + why);
 }
 
 std::size_t
@@ -245,6 +300,7 @@ Session::build()
     _lastActs = _lastNrr = _lastRefresh = _lastVictims = _lastFlips =
         0;
     _failure.clear();
+    _onDisk = false;
     if (_alertRules != nullptr)
         _alertEngine = obs::AlertEngine(
             *_alertRules, static_cast<double>(_spec.chunkRows));
@@ -285,15 +341,21 @@ Result<ckpt::LoadReport>
 Session::startResumed()
 {
     const ckpt::LoadReport report = ckpt::loadNewest(
-        ckptPath(), _spec.fingerprint(),
-        [this](const std::vector<std::uint8_t> &payload) {
+        ckptPath(), fileFingerprint(_spec),
+        [this](const ckpt::Blob &blob) {
+            ckpt::Reader r(blob.payload);
+            SessionSpec::load(r); // the header fingerprint matched it
+            if (r.remaining() == 0 && !r.failed())
+                return Result<void>(Error(
+                    ErrorCode::NotFound,
+                    "the file holds only the session spec (its start "
+                    "failed)"));
             // Rebuild from scratch per candidate: a half-applied
             // restore must never leak into the next attempt. A build
             // error recurs on the fresh start below, which returns it.
             Result<void> built = build();
             if (!built.ok())
                 return built;
-            ckpt::Reader r(payload);
             restorePayload(r);
             return r.finish();
         });
@@ -304,6 +366,7 @@ Session::startResumed()
             return started.error();
         return report;
     }
+    _onDisk = true;
     // A missing JSONL with nothing durable is simply reopened.
     std::error_code ec;
     if (_linesEmitted != 0 ||
@@ -472,6 +535,7 @@ Session::runQuantum(std::uint64_t quantum_cycles)
     }
     if (quantum_cycles == 0)
         quantum_cycles = 1;
+    _onDisk = false;
 
     const std::uint64_t horizon = _engine->horizon().value();
     const std::uint64_t stop = std::min(
@@ -547,23 +611,30 @@ Session::restorePayload(ckpt::Reader &r)
 Result<void>
 Session::checkpoint()
 {
-    if (_state != State::Active && _state != State::Done)
-        return Result<void>::success(); // nothing durable to record
-    // JSONL before checkpoint: the recorded line count must never
-    // exceed what a resume will find on disk.
-    _jsonl.flush();
-    if (!_jsonl)
-        return Error(ErrorCode::Io,
-                     strprintf("flush of '%s' failed",
-                               jsonlPath().c_str()));
+    // A failed session keeps its last good file: a resume reruns from
+    // there and reports the failure again.
+    if (_onDisk || _state == State::Failed)
+        return Result<void>::success();
+    ckpt::Writer w;
+    _spec.save(w);
+    if (_state != State::Fresh) {
+        // JSONL before checkpoint: the recorded line count must never
+        // exceed what a resume will find on disk.
+        _jsonl.flush();
+        if (!_jsonl)
+            return Error(ErrorCode::Io,
+                         strprintf("flush of '%s' failed",
+                                   jsonlPath().c_str()));
+        savePayload(w);
+    }
     Result<void> dir = ensureDir(_ckptDir);
     if (!dir.ok())
         return dir.error();
 
-    ckpt::Writer w;
-    savePayload(w);
-
-    return ckpt::saveRotated(ckptPath(), _spec.fingerprint(), w.data());
+    Result<void> saved =
+        ckpt::saveRotated(ckptPath(), fileFingerprint(_spec), w.data());
+    _onDisk = saved.ok();
+    return saved;
 }
 
 Result<void>

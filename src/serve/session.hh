@@ -18,12 +18,16 @@
  * are identical for every --jobs count, across kill-and-resume, and
  * between a forked child and a fresh run (the tier-1 serve tests).
  *
- * Crash durability mirrors exp::Manifest: checkpoint() flushes the
- * JSONL *first*, then rotates `session_<id>.gckp` to `.prev` and
- * writes the new artifact atomically. The checkpoint records how
- * many lines were durable at save time; resume truncates the JSONL
- * back to that count (discarding any torn tail a SIGKILL left) and
- * re-emits deterministically from the restored engine.
+ * Crash durability: `session_<id>.gckp` is the session's only
+ * durable store. It holds the SessionSpec, then the session state, so
+ * a `--resume` rebuilds the roster from these files alone.
+ * checkpoint() flushes the JSONL *first*, then rotates the file to
+ * `.prev` and writes the new one atomically (ckpt::saveRotated). The
+ * state records how many lines were durable at save time; resume
+ * truncates the JSONL back to that count (discarding any torn tail a
+ * SIGKILL left) and re-emits deterministically from the restored
+ * engine. A finished session's file says so, and a resume does not
+ * rerun it.
  *
  * Forking: addForkTrigger(w, path) writes a checkpoint-format fork
  * artifact the moment window w completes — engine state exactly at
@@ -84,10 +88,10 @@ struct SessionSpec
 
     /**
      * FNV-1a digest over every semantic field *including the id*:
-     * frames the session checkpoint, so an artifact can only restore
-     * onto the session that wrote it (fork artifacts are re-framed
-     * for the child by the driver, which decodes with the parent's
-     * digest first).
+     * frames fork artifacts, so one can only be decoded against the
+     * parent that wrote it. Session files are framed by a digest over
+     * the same fields under their own tag, because they also hold
+     * the spec.
      */
     std::uint64_t fingerprint() const;
 
@@ -136,6 +140,15 @@ class Session
 
     std::string jsonlPath() const;
     std::string ckptPath() const;
+
+    /**
+     * The spec held by the session file of @p id in @p ckpt_dir, or by
+     * its `.prev` when the current file is unreadable. The header
+     * fingerprint must frame that spec. NotFound otherwise, naming
+     * each rejected file and why.
+     */
+    static Result<SessionSpec> readSpec(const std::string &ckpt_dir,
+                                        const std::string &id);
 
     /** Completed stats windows (== fork-trigger coordinates). */
     std::uint64_t windowsEmitted() const { return _windowIndex; }
@@ -216,8 +229,11 @@ class Session
 
     /**
      * Durability point: flush the JSONL, then rotate and atomically
-     * write the session checkpoint (JSONL-before-ckpt ordering — the
-     * recorded line count must never exceed what is on disk).
+     * write the session file, the spec and then the state
+     * (JSONL-before-ckpt ordering — the recorded line count must never
+     * exceed what is on disk). A session that never started writes
+     * its spec alone, so a resume retries it. Writes nothing when the
+     * session has not advanced since its last file, or has failed.
      */
     Result<void> checkpoint();
 
@@ -249,6 +265,7 @@ class Session
     std::uint64_t _windowIndex = 0;
     std::uint64_t _linesEmitted = 0;
     bool _finalized = false;
+    bool _onDisk = false; ///< The session file holds this state.
 
     // Cumulative counters at the last closed window (delta basis).
     std::uint64_t _lastActs = 0;

@@ -32,16 +32,18 @@ freshPath(const char *name)
     return (dir / "artifact.gckp").string();
 }
 
-/** Accepts every payload, remembering the last one it saw. */
+/** Accepts every blob, remembering the last payload it saw. */
 struct Recorder
 {
     std::vector<std::uint8_t> seen;
+    std::uint64_t seenFp = 0;
     unsigned calls = 0;
 
-    Result<void> operator()(const std::vector<std::uint8_t> &payload)
+    Result<void> operator()(const Blob &blob)
     {
         ++calls;
-        seen = payload;
+        seen = blob.payload;
+        seenFp = blob.configFingerprint;
         return Result<void>::success();
     }
 };
@@ -74,6 +76,12 @@ TEST(Generations, LoadsTheNewestFirst)
     EXPECT_TRUE(report.notes.empty());
     EXPECT_EQ(accept.calls, 1u);
     EXPECT_EQ(accept.seen, std::vector<std::uint8_t>{2});
+
+    // Any producer: the header's fingerprint is left to accept.
+    const LoadReport any = loadNewest(
+        path, std::nullopt, [&](const auto &p) { return accept(p); });
+    EXPECT_EQ(any.source, path);
+    EXPECT_EQ(accept.seenFp, kFp);
 }
 
 TEST(Generations, FallsBackToPrevWhenAcceptRejects)
@@ -85,10 +93,10 @@ TEST(Generations, FallsBackToPrevWhenAcceptRejects)
     std::vector<std::uint8_t> taken;
     const LoadReport report = loadNewest(
         path, kFp,
-        [&](const std::vector<std::uint8_t> &payload) -> Result<void> {
-            if (payload == std::vector<std::uint8_t>{2})
+        [&](const Blob &blob) -> Result<void> {
+            if (blob.payload == std::vector<std::uint8_t>{2})
                 return Error(ErrorCode::CkptBadPayload, "refused");
-            taken = payload;
+            taken = blob.payload;
             return Result<void>::success();
         });
     EXPECT_EQ(report.source, path + ".prev");

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "ckpt/io.hh"
 
@@ -66,6 +67,9 @@ TEST(CkptIo, ShortReadLatchesAndReturnsZeroes)
     const Result<void> fin = r.finish();
     ASSERT_FALSE(fin.ok());
     EXPECT_EQ(fin.error().code(), ErrorCode::CkptTruncated);
+    EXPECT_NE(fin.error().message().find("ended early"),
+              std::string::npos)
+        << fin.error().message();
 }
 
 TEST(CkptIo, HugeStringLengthCannotIndexOutOfBounds)
@@ -96,7 +100,13 @@ TEST(CkptIo, CountIsBoundedByRemainingBytes)
     Reader bad(over.data());
     EXPECT_EQ(bad.count(), 0u);
     EXPECT_TRUE(bad.failed());
-    EXPECT_EQ(bad.finish().error().code(), ErrorCode::CkptTruncated);
+    const Result<void> fin = bad.finish();
+    EXPECT_EQ(fin.error().code(), ErrorCode::CkptTruncated);
+    // An over-claimed count is a payload that ran short, not a value
+    // that failed validation.
+    EXPECT_NE(fin.error().message().find("ended early"),
+              std::string::npos)
+        << fin.error().message();
 }
 
 TEST(CkptIo, TrailingBytesFailFinish)
@@ -118,9 +128,30 @@ TEST(CkptIo, ExplicitFailLatches)
     Reader r(w.data());
     EXPECT_EQ(r.u64(), 42u);
     r.fail(); // restore-side validation rejected a value
+    EXPECT_EQ(r.u64(), 0u); // later reads neither advance nor clear
+    r.fail();
     const Result<void> fin = r.finish();
     ASSERT_FALSE(fin.ok());
     EXPECT_EQ(fin.error().code(), ErrorCode::CkptTruncated);
+    // Reported as a rejected value at the reader's offset, not as a
+    // payload that ended early.
+    EXPECT_EQ(fin.error().message(),
+              "checkpoint payload rejected: a restored value failed "
+              "validation at byte 8 of 8");
+}
+
+TEST(CkptIo, FailAfterAShortReadStaysAShortRead)
+{
+    Writer w;
+    w.u32(7);
+    Reader r(w.data());
+    EXPECT_EQ(r.u64(), 0u);
+    r.fail(); // validation of the zero the short read returned
+    const Result<void> fin = r.finish();
+    ASSERT_FALSE(fin.ok());
+    EXPECT_NE(fin.error().message().find("ended early"),
+              std::string::npos)
+        << fin.error().message();
 }
 
 } // namespace

@@ -522,6 +522,19 @@ TEST(FaultModelLog, ActBoundReplaysALogOfStripes)
     expectAgree(s);
 }
 
+TEST(FaultModelLog, AFreshBankKeepsLoggingThroughASave)
+{
+    Lockstep s(unitConfig(1000.0), kLogRows);
+    ASSERT_TRUE(s.sut->logging());
+    EXPECT_EQ(bytesOf(*s.sut), bytesOf(s.ref));
+    EXPECT_FALSE(s.sut->dense());
+    EXPECT_TRUE(s.sut->logging()) << "an empty log has nothing to replay";
+    Rng rng(3);
+    s.drive(rng, kLogCapacity - 12);
+    ASSERT_TRUE(s.sut->logging());
+    expectAgree(s);
+}
+
 TEST(FaultModelLog, SaveMidLogRestoresIntoAFreshModelAndContinues)
 {
     const FaultConfig fc = unitConfig(300.0);

@@ -3,16 +3,18 @@
  * Service-level contracts: per-session JSONL byte-identical across
  * --jobs 1/4/16 (≥ 8 concurrent sessions), admission control typed
  * errors, fork materialization (warm and cross-scheme), graceful
- * drain on cancel plus manifest-driven resume, and the fork-spec
- * grammar.
+ * drain on cancel plus a resume driven by the session files alone,
+ * and the fork-spec grammar.
  */
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -76,6 +78,21 @@ tenantSpec(unsigned index)
     spec.statsWindowCycles = 192000;
     spec.chunkRows = 256;
     return spec;
+}
+
+/** Every regular file in @p dir, keyed by name, with its bytes and
+ *  its modification time (a rewrite of the same bytes moves it). */
+std::map<std::string, std::pair<std::string, fs::file_time_type>>
+snapshot(const std::string &dir)
+{
+    std::map<std::string, std::pair<std::string, fs::file_time_type>>
+        files;
+    for (const auto &entry : fs::directory_iterator(dir))
+        if (entry.is_regular_file())
+            files[entry.path().filename().string()] = {
+                slurp(entry.path().string()),
+                fs::last_write_time(entry.path())};
+    return files;
 }
 
 DriverOptions
@@ -241,7 +258,7 @@ TEST(ServeDriver, CrossSchemeForkEqualsFreshRun)
 }
 
 /**
- * Cancel mid-service, then resume from the manifest: whatever
+ * Cancel mid-service, then resume from the session files: whatever
  * instant the drain hit, the resumed service must finish every
  * session with byte-identical artifacts. (The CI soak leg does the
  * same dance with a real SIGKILL.)
@@ -266,7 +283,7 @@ TEST(ServeDriver, CancelThenResumeIsByteIdentical)
     }
 
     // Interrupted service: cancel fires from another thread at an
-    // arbitrary point; run() drains (checkpoints + manifest).
+    // arbitrary point; run() drains (checkpoints every session).
     TempDir dir("drain");
     {
         ServeDriver driver(optionsFor(dir, 2));
@@ -284,7 +301,7 @@ TEST(ServeDriver, CancelThenResumeIsByteIdentical)
         ASSERT_TRUE(report.ok()) << report.error().describe();
     }
 
-    // Resume rebuilds the roster from the manifest alone — no
+    // Resume rebuilds the roster from the session files alone — no
     // sessions re-admitted here — and finishes the job.
     {
         DriverOptions opts = optionsFor(dir, 2);
@@ -303,6 +320,153 @@ TEST(ServeDriver, CancelThenResumeIsByteIdentical)
                         strprintf("session_t%02u.jsonl", i)),
                   expected[i])
             << "session t" << i << " diverged across drain+resume";
+}
+
+/** Run @p opts over tenants 0..sessions-1 to completion. */
+ServeDriver::RunReport
+runService(const DriverOptions &opts, unsigned sessions)
+{
+    ServeDriver driver(opts);
+    for (unsigned i = 0; i < sessions; ++i)
+        EXPECT_TRUE(driver.admit(tenantSpec(i)).ok());
+    CancelToken cancel;
+    const Result<ServeDriver::RunReport> report = driver.run(cancel);
+    EXPECT_TRUE(report.ok()) << report.error().describe();
+    return report.ok() ? report.value() : ServeDriver::RunReport{};
+}
+
+/**
+ * Every session finishes before its first periodic checkpoint; the
+ * finish-time write still records it, so a resume restores each one
+ * as done, runs nothing and rewrites no file: neither a checkpoint
+ * nor a session JSONL.
+ */
+TEST(ServeDriver, FinishedSessionIsNotRerunOnResume)
+{
+    const unsigned kSessions = 4;
+    TempDir dir("finished");
+    DriverOptions opts = optionsFor(dir, 2);
+    opts.ckptEveryQuanta = 1000; // longer than any session runs
+    ASSERT_EQ(runService(opts, kSessions).completed, kSessions);
+
+    const std::string ckpt = dir.path() + "/ckpt";
+    for (unsigned i = 0; i < kSessions; ++i)
+        ASSERT_TRUE(fs::exists(
+            ckpt + strprintf("/session_t%02u.gckp", i)));
+    const auto files = snapshot(ckpt);
+    const auto jsonl = snapshot(dir.path());
+    ASSERT_EQ(jsonl.size(), kSessions);
+
+    opts.resume = true;
+    const ServeDriver::RunReport report = runService(opts, 0);
+    EXPECT_EQ(report.completed, kSessions);
+    EXPECT_EQ(report.resumed, kSessions);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(snapshot(ckpt), files);
+    EXPECT_EQ(snapshot(dir.path()), jsonl);
+}
+
+/** A fork child the resume never names comes back from its own
+ *  session file, written when it was materialized. */
+TEST(ServeDriver, ResumeRecoversAForkChildFromItsFile)
+{
+    TempDir dir("forkresume");
+    DriverOptions opts = optionsFor(dir, 2);
+    opts.forks.push_back(parseForkSpec("t00@2:branch").value());
+    ASSERT_EQ(runService(opts, 2).forked, 1u);
+    const std::string child = dir.path() + "/session_branch.jsonl";
+    const std::string expected = slurp(child);
+
+    opts.forks.clear();
+    opts.resume = true;
+    ServeDriver driver(opts);
+    CancelToken cancel;
+    const Result<ServeDriver::RunReport> report = driver.run(cancel);
+    ASSERT_TRUE(report.ok()) << report.error().describe();
+    ASSERT_NE(driver.findSession("branch"), nullptr);
+    EXPECT_EQ(driver.findSession("branch")->state(),
+              Session::State::Done);
+    EXPECT_EQ(report.value().completed, 3u);
+    EXPECT_EQ(slurp(child), expected);
+}
+
+/**
+ * The listing takes ids from `session_*.gckp` and `.prev` alike: a
+ * torn current file yields its spec from the `.prev`, and an id whose
+ * current file is gone (a crash between rotation and write) is still
+ * resumed. Both rerun from the older state to the same bytes.
+ */
+TEST(ServeDriver, ResumeListsTornAndPrevOnlySessions)
+{
+    const unsigned kSessions = 3;
+    TempDir dir("listing");
+    DriverOptions opts = optionsFor(dir, 2);
+    ASSERT_EQ(runService(opts, kSessions).completed, kSessions);
+    std::vector<std::string> expected;
+    for (unsigned i = 0; i < kSessions; ++i)
+        expected.push_back(slurp(
+            dir.path() + strprintf("/session_t%02u.jsonl", i)));
+
+    const std::string ckpt = dir.path() + "/ckpt";
+    ASSERT_TRUE(fs::exists(ckpt + "/session_t00.gckp.prev"));
+    ASSERT_TRUE(fs::exists(ckpt + "/session_t01.gckp.prev"));
+    {
+        std::ofstream torn(ckpt + "/session_t00.gckp",
+                           std::ios::binary | std::ios::trunc);
+        torn << "torn";
+    }
+    fs::remove(ckpt + "/session_t01.gckp");
+
+    opts.resume = true;
+    ServeDriver driver(opts);
+    CancelToken cancel;
+    const Result<ServeDriver::RunReport> report = driver.run(cancel);
+    ASSERT_TRUE(report.ok()) << report.error().describe();
+    EXPECT_EQ(driver.sessionCount(), kSessions);
+    EXPECT_NE(driver.findSession("t00"), nullptr);
+    EXPECT_NE(driver.findSession("t01"), nullptr);
+    EXPECT_EQ(report.value().completed, kSessions);
+    EXPECT_EQ(report.value().resumed, kSessions);
+    bool torn_noted = false;
+    for (const std::string &note : report.value().notes)
+        torn_noted = torn_noted ||
+                     (note.find("t00: ") == 0 &&
+                      note.find("session_t00.gckp:") !=
+                          std::string::npos);
+    EXPECT_TRUE(torn_noted) << "the torn file leaves no note";
+    for (unsigned i = 0; i < kSessions; ++i)
+        EXPECT_EQ(slurp(dir.path() +
+                        strprintf("/session_t%02u.jsonl", i)),
+                  expected[i])
+            << "session t" << i;
+}
+
+/**
+ * A session whose start fails leaves a file holding its spec alone,
+ * so a resume (admitting nothing) retries it and reports it again.
+ */
+TEST(ServeDriver, FailedStartIsRetriedOnResume)
+{
+    TempDir dir("badstart");
+    DriverOptions opts = optionsFor(dir, 1);
+    // The JSONL directory is a regular file, so no session can open
+    // its artifact; the checkpoint directory is fine.
+    opts.ckptDir = dir.path() + "/ckpt";
+    opts.outDir = dir.path() + "/not_a_dir";
+    { std::ofstream(opts.outDir) << "x"; }
+
+    const ServeDriver::RunReport first = runService(opts, 1);
+    EXPECT_EQ(first.failed, 1u);
+    ASSERT_TRUE(fs::exists(opts.ckptDir + "/session_t00.gckp"));
+
+    opts.resume = true;
+    ServeDriver driver(opts);
+    CancelToken cancel;
+    const Result<ServeDriver::RunReport> report = driver.run(cancel);
+    ASSERT_TRUE(report.ok()) << report.error().describe();
+    ASSERT_NE(driver.findSession("t00"), nullptr);
+    EXPECT_EQ(report.value().failed, 1u);
+    EXPECT_EQ(report.value().resumed, 0u);
 }
 
 /** A failed session is service data, not a service error. */

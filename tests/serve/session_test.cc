@@ -277,6 +277,86 @@ TEST(Session, ForkedChildMatchesParentByteForByte)
     EXPECT_EQ(slurp(child.jsonlPath()), slurp(parent.jsonlPath()));
 }
 
+/**
+ * A session file holds the spec, so a resume can admit the session
+ * from the file alone; damage to the spec, or a header that does not
+ * frame it, is a typed rejection.
+ */
+TEST(Session, ReadSpecTakesTheSpecFromItsFile)
+{
+    TempDir dir("readspec");
+    const std::string ckpt_dir = dir.path() + "/ckpt";
+    const SessionSpec spec = smallSpec("r");
+    Session session(spec, dir.path(), ckpt_dir);
+    ASSERT_TRUE(session.start().ok());
+    ASSERT_TRUE(session.checkpoint().ok());
+    ASSERT_EQ(session.runQuantum(100000), Session::QuantumOutcome::Again);
+    ASSERT_TRUE(session.checkpoint().ok());
+
+    const Result<SessionSpec> read = Session::readSpec(ckpt_dir, "r");
+    ASSERT_TRUE(read.ok()) << read.error().describe();
+    EXPECT_EQ(read.value().fingerprint(), spec.fingerprint());
+
+    // A torn current file falls back to the `.prev`.
+    {
+        std::ofstream os(session.ckptPath(),
+                         std::ios::binary | std::ios::trunc);
+        os << "torn";
+    }
+    const Result<SessionSpec> prev = Session::readSpec(ckpt_dir, "r");
+    ASSERT_TRUE(prev.ok()) << prev.error().describe();
+    EXPECT_EQ(prev.value().fingerprint(), spec.fingerprint());
+
+    const Result<SessionSpec> absent =
+        Session::readSpec(ckpt_dir, "nobody");
+    ASSERT_FALSE(absent.ok());
+    EXPECT_EQ(absent.error().code(), ErrorCode::NotFound);
+
+    // Each damaged file is the only candidate for its id.
+    const auto damaged = [&](const std::string &id,
+                             std::uint64_t framing,
+                             const std::vector<std::uint8_t> &payload) {
+        EXPECT_TRUE(ckpt::saveFile(ckpt_dir + "/session_" + id + ".gckp",
+                                   framing, payload)
+                        .ok());
+        return Session::readSpec(ckpt_dir, id);
+    };
+    ckpt::Writer whole;
+    spec.save(whole);
+
+    const auto says = [](const Result<SessionSpec> &read,
+                         const std::string &why) {
+        ASSERT_FALSE(read.ok());
+        EXPECT_EQ(read.error().code(), ErrorCode::NotFound);
+        EXPECT_NE(read.error().message().find(why), std::string::npos)
+            << read.error().message();
+    };
+
+    // Framed by another tag (here the fork artifacts' digest).
+    says(damaged("r2", spec.fingerprint(), whole.data()),
+         "ckpt-config-mismatch error: the header does not frame");
+
+    // A well-framed file filed under another id is not that session.
+    fs::copy_file(session.ckptPath() + ".prev",
+                  ckpt_dir + "/session_elsewhere.gckp");
+    says(Session::readSpec(ckpt_dir, "elsewhere"),
+         "ckpt-config-mismatch error: the header does not frame");
+
+    const std::vector<std::uint8_t> cut(whole.data().begin(),
+                                        whole.data().begin() + 12);
+    says(damaged("r3", 0, cut),
+         "ckpt-truncated error: checkpoint payload ended early");
+
+    // A scheme kind past the last one fails validation, reported as
+    // such rather than as a short payload.
+    std::vector<std::uint8_t> bad_kind = whole.data();
+    const std::size_t kind_at = 8 + spec.id.size();
+    bad_kind[kind_at] = 0xff;
+    says(damaged("r4", 0, bad_kind),
+         "ckpt-truncated error: checkpoint payload rejected: a restored "
+         "value failed validation");
+}
+
 TEST(Session, FailedSourceEndsInErrorLine)
 {
     TempDir dir("fail");

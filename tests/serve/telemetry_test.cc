@@ -226,7 +226,7 @@ TEST(ServeTelemetry, FaultInjectedSessionIsDeterministic)
 }
 
 /** Kill-and-resume equivalence extends to telemetry: a cancelled
- *  run resumed from its manifest produces the same drain-time
+ *  run resumed from its session files produces the same drain-time
  *  artifacts as an uninterrupted one. */
 TEST(ServeTelemetry, CancelThenResumeKeepsArtifactsByteIdentical)
 {

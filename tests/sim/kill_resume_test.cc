@@ -279,8 +279,13 @@ TEST(KillResumeReject, RefreshCountDisagreeingWithTheRankIsRejected)
     for (const std::uint64_t bad : {refs - 1, refs + 1, std::uint64_t{0}}) {
         const Result<void> r = restore(bad);
         ASSERT_FALSE(r.ok()) << bad;
-        // A restore that fails its reader reports it as truncated.
+        // A restore that fails its reader keeps the truncated code,
+        // but names the rejected value rather than a short payload.
         EXPECT_EQ(r.error().code(), ErrorCode::CkptTruncated) << bad;
+        EXPECT_NE(r.error().message().find(
+                      "a restored value failed validation at byte"),
+                  std::string::npos)
+            << r.error().message();
     }
 }
 

@@ -45,66 +45,6 @@ def encode(fp: int, payload: bytes, version: int = FORMAT_VERSION) -> bytes:
     return head + struct.pack("<Q", fnv1a(head)) + payload
 
 
-def u64le(v: int) -> bytes:
-    return struct.pack("<Q", v)
-
-
-# Serve-manifest fingerprint: fnv1a over ckpt::Writer{str(tag)} bytes
-# (u64 length prefix + the tag), mirroring
-# serve::Manifest::configFingerprint(). Keep the tag in lockstep with
-# src/serve/manifest.cc.
-SERVE_TAG = b"graphene-serve-manifest-v1"
-SERVE_FP = fnv1a(u64le(len(SERVE_TAG)) + SERVE_TAG)
-
-
-def write_serve_corpus(out: pathlib.Path) -> None:
-    """The serve-manifest variant (tests/data/ckpt/serve/).
-
-    The container layer is already covered by the parent corpus, so
-    these files target the *payload* codec
-    (serve::Manifest::decodePayload) plus the serve-specific framing:
-    each is damaged in exactly one way, and
-    tests/serve/manifest_test.cc asserts the stage and ErrorCode it
-    must fail with. The subdirectory keeps the files out of the
-    parent corpus walk (it only visits regular files in ckpt/).
-    """
-    serve = out / "serve"
-    serve.mkdir(parents=True, exist_ok=True)
-
-    # A pristine empty roster: payload is just a zero entry count.
-    # Decodes at both stages, proving the base format is current.
-    empty = u64le(0)
-    valid = encode(SERVE_FP, empty)
-    (serve / "valid_empty.gckp").write_bytes(valid)
-
-    # Container cut mid-header -> CkptTruncated before the payload
-    # codec is ever reached.
-    (serve / "truncated_container.gckp").write_bytes(valid[:20])
-
-    # Self-consistent artifact framed with a different fingerprint
-    # (e.g. a future manifest version tag) -> CkptConfigMismatch.
-    (serve / "wrong_tag.gckp").write_bytes(
-        encode((SERVE_FP + 1) & MASK, empty))
-
-    # Payload-level damage behind a *valid* container (checksums all
-    # recomputed), so only decodePayload can reject:
-
-    # Entry count that exceeds the remaining bytes -> the bounded-
-    # count guard latches the reader -> CkptTruncated.
-    (serve / "payload_count_overclaims.gckp").write_bytes(
-        encode(SERVE_FP, u64le(1 << 48)))
-
-    # One claimed entry whose leading id string declares more bytes
-    # than exist -> the entry decode runs dry -> CkptTruncated.
-    (serve / "payload_entry_truncated.gckp").write_bytes(
-        encode(SERVE_FP, u64le(1) + u64le(4096)))
-
-    # Valid empty roster followed by stray bytes -> the consumed-
-    # exactly check -> Internal (save/restore schema mismatch).
-    (serve / "payload_trailing.gckp").write_bytes(
-        encode(SERVE_FP, empty + b"\xca\xfe"))
-
-
 def main() -> None:
     out = pathlib.Path(__file__).resolve().parent.parent / \
         "tests" / "data" / "ckpt"
@@ -156,8 +96,6 @@ def main() -> None:
     #    is supplied.
     (out / "config_mismatch.gckp").write_bytes(
         encode((KNOWN_FP + 1) & MASK, PAYLOAD))
-
-    write_serve_corpus(out)
 
     print(f"wrote corpus to {out}")
 

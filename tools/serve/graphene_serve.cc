@@ -6,10 +6,12 @@
  * Admits a mix of tenant sessions (synthetic pattern families over
  * the evaluated schemes, plus optional trace-file tenants), then
  * multiplexes them over the pool in cooperative quanta with periodic
- * checkpoint rotation. SIGINT/SIGTERM drain gracefully (checkpoint +
- * manifest persist); a SIGKILL loses nothing durable — `--resume`
- * continues from the last checkpoint and regenerates byte-identical
- * session artifacts (the CI soak leg kills and diffs).
+ * checkpoint rotation. SIGINT/SIGTERM drain gracefully (every live
+ * session is checkpointed); a SIGKILL loses nothing durable —
+ * `--resume` rebuilds the roster from the session files in the
+ * checkpoint directory, continues each session from its last
+ * checkpoint, leaves finished ones alone, and regenerates
+ * byte-identical session artifacts (the CI soak leg kills and diffs).
  */
 
 #include <csignal>
@@ -44,7 +46,8 @@ printUsage(const char *prog, std::ostream &os)
           "only)\n"
        << "  --out DIR       session artifacts (default serve-out)\n"
        << "  --ckpt-dir DIR  checkpoints (default <out>/ckpt)\n"
-       << "  --resume        continue from the serve manifest\n"
+       << "  --resume        continue the sessions in the checkpoint "
+          "dir\n"
        << "  --fork SPEC     <parent>@<window>:<child>[:<scheme>] "
           "(repeatable)\n"
        << "  --duration W    simulated span in tREFW units "
@@ -205,10 +208,9 @@ main(int argc, char **argv)
     std::signal(SIGTERM, handleSignal);
 
     serve::ServeDriver driver(options.driver);
-    // Under --resume the manifest *is* the roster: every spec was
-    // persisted at the last durability point, so re-admitting the
-    // tenant mix here would shadow the recorded sessions with
-    // fresh defaults.
+    // Under --resume the session files *are* the roster: each holds
+    // its spec, so re-admitting the tenant mix here would shadow the
+    // recorded sessions with fresh defaults.
     if (!options.driver.resume) {
         for (unsigned i = 0; i < options.sessions; ++i)
             unwrapOrFatal(driver.admit(tenantSpec(options, i)));
@@ -232,7 +234,9 @@ main(int argc, char **argv)
               << report.alertsFired << " alert(s)"
               << (report.cancelled ? " (drained on cancel)" : "")
               << "\n";
-    if (options.driver.telemetry) {
+    // The driver writes telemetry only when observability is
+    // compiled in.
+    if (options.driver.telemetry && obs::kEnabled) {
         const std::string dir = options.driver.telemetryDir.empty()
                                     ? options.driver.outDir
                                     : options.driver.telemetryDir;
